@@ -10,16 +10,6 @@
 //!     --epsilon X       precision for approximate algorithms
 //!     --threads N       worker threads for the per-SCC driver
 //!                       (default: available parallelism; 1 = sequential)
-//!     --sweep MODE      intra-SCC arc-sweep mode: `sequential` (default,
-//!                       bit-identical to the historical loops) or
-//!                       `chunked` (two-phase chunk-ordered sweeps that
-//!                       can use worker threads inside one giant SCC;
-//!                       deterministic at any thread count, but a
-//!                       different — equally correct — trajectory than
-//!                       sequential mode)
-//!     --sweep-chunk N   arcs per chunk in chunked mode (default 4096)
-//!     --sweep-threads N threads per chunked sweep (default: spare
-//!                       driver threads beyond the SCC count, min 1)
 //!     --budget SPEC     work limits, comma-separated `key=value` terms:
 //!                       iters=N (outer-loop iterations per SCC attempt),
 //!                       refine=N (lambda refinements per SCC attempt),
@@ -47,6 +37,8 @@
 //! whose witness cycle does not reproduce the reported lambda — a
 //! solver bug, never silent), 4 cancelled (the `--timeout` deadline
 //! passed before the solve finished; no partial answer is printed).
+//! A flag no subcommand knows, or a value flag given as the last token
+//! (or followed by another `--flag`), is a usage error: exit 1.
 //!
 //! mcr dynamic --edits FILE  replay an `mcr-edits v1` edit script with
 //!                       the incremental [`mcr_core::DynamicSolver`]:
@@ -100,7 +92,7 @@ use mcr_core::critical::critical_subgraph;
 use mcr_core::spec::{parse_budget_spec, parse_duration_spec, parse_fallback_spec, solve_spec, SpecError};
 use mcr_core::{
     certify, parse_edit_script, Algorithm, DynamicOutcome, DynamicSolver, Guarantee, Objective,
-    Solution, SolveError, SolveOptions, SolveSpec, SolveStatus, SweepMode,
+    Solution, SolveError, SolveOptions, SolveSpec, SolveStatus,
 };
 use mcr_gen::circuit::{circuit_graph, CircuitConfig};
 use mcr_gen::sprand::{sprand, SprandConfig};
@@ -146,35 +138,67 @@ impl From<SpecError> for CliError {
     }
 }
 
+/// Flags that take no value.
+const SWITCHES: [&str; 6] = ["max", "ratio", "critical", "counters", "summary", "no-wait"];
+
+/// Flags that take the next token as their value.
+const VALUE_FLAGS: [&str; 21] = [
+    "algorithm", "epsilon", "threads", "budget", "fallback", "timeout", "trace-out",
+    "metrics-out", "edits", "seed", "wmin", "wmax", "tmin", "tmax", "nodes", "arcs", "addr",
+    "replay", "op", "fleet", "timeout-ms",
+];
+
+/// A command line [`Args::parse`] rejects. Both cases exit 1.
+#[derive(Debug)]
+enum UsageError {
+    /// A value flag with nothing after it, or only another `--flag`.
+    MissingValue(String),
+    /// A flag no subcommand accepts.
+    UnknownFlag(String),
+}
+
+impl std::fmt::Display for UsageError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            UsageError::MissingValue(name) => write!(f, "--{name} needs a value\n{USAGE}"),
+            UsageError::UnknownFlag(name) => write!(f, "unknown flag --{name}\n{USAGE}"),
+        }
+    }
+}
+
+impl From<UsageError> for CliError {
+    fn from(e: UsageError) -> Self {
+        CliError::new(SolveStatus::InputError, e.to_string())
+    }
+}
+
 struct Args {
     positional: Vec<String>,
     flags: Vec<(String, Option<String>)>,
 }
 
 impl Args {
-    fn parse(raw: &[String]) -> Args {
+    fn parse(raw: &[String]) -> Result<Args, UsageError> {
         let mut positional = Vec::new();
         let mut flags = Vec::new();
-        let mut i = 0;
-        while i < raw.len() {
-            if let Some(name) = raw[i].strip_prefix("--") {
-                let takes_value = ![
-                    "max", "ratio", "critical", "counters", "summary", "no-wait",
-                ]
-                .contains(&name);
-                if takes_value && i + 1 < raw.len() {
-                    flags.push((name.to_string(), Some(raw[i + 1].clone())));
-                    i += 2;
-                } else {
-                    flags.push((name.to_string(), None));
-                    i += 1;
-                }
+        let mut tokens = raw.iter().peekable();
+        while let Some(token) = tokens.next() {
+            let Some(name) = token.strip_prefix("--") else {
+                positional.push(token.clone());
+                continue;
+            };
+            if SWITCHES.contains(&name) {
+                flags.push((name.to_string(), None));
+            } else if VALUE_FLAGS.contains(&name) {
+                let value = tokens
+                    .next_if(|v| !v.starts_with("--"))
+                    .ok_or_else(|| UsageError::MissingValue(name.to_string()))?;
+                flags.push((name.to_string(), Some(value.clone())));
             } else {
-                positional.push(raw[i].clone());
-                i += 1;
+                return Err(UsageError::UnknownFlag(name.to_string()));
             }
         }
-        Args { positional, flags }
+        Ok(Args { positional, flags })
     }
 
     fn flag(&self, name: &str) -> bool {
@@ -219,17 +243,8 @@ fn load_graph(path: Option<&str>) -> Result<Graph, String> {
 /// path. Results are identical either way.
 fn solve_options(args: &Args, epsilon: f64) -> Result<SolveOptions, String> {
     let threads: usize = args.value_parsed("threads", 0)?;
-    let sweep = match args.value("sweep") {
-        None => SweepMode::Sequential,
-        Some(v) if v.eq_ignore_ascii_case("sequential") => SweepMode::Sequential,
-        Some(v) if v.eq_ignore_ascii_case("chunked") => SweepMode::Chunked,
-        Some(v) => return Err(format!("invalid --sweep `{v}` (use sequential or chunked)")),
-    };
     let mut opts = SolveOptions {
         threads,
-        sweep,
-        sweep_chunk: args.value_parsed("sweep-chunk", 0)?,
-        sweep_threads: args.value_parsed("sweep-threads", 0)?,
         epsilon: Some(epsilon),
         ..SolveOptions::default()
     };
@@ -763,20 +778,22 @@ fn cmd_bench(args: &Args) -> Result<(), CliError> {
 const USAGE: &str =
     "usage: mcr <solve|dynamic|gen|client|dot|bench> ...  (see crate docs for flags)";
 
+fn run(args: &Args) -> Result<(), CliError> {
+    let obs_req = ObsRequest::from_args(args);
+    match args.positional.first().map(|s| s.as_str()) {
+        Some("solve") => with_obs(&obs_req, || cmd_solve(args)),
+        Some("dynamic") => with_obs(&obs_req, || cmd_dynamic(args)),
+        Some("gen") => cmd_gen(args).map_err(CliError::from),
+        Some("client") => cmd_client(args).map_err(CliError::from),
+        Some("dot") => cmd_dot(args).map_err(CliError::from),
+        Some("bench") => with_obs(&obs_req, || cmd_bench(args)),
+        _ => Err(CliError::from(USAGE.to_string())),
+    }
+}
+
 fn main() -> ExitCode {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    let args = Args::parse(&raw);
-    let obs_req = ObsRequest::from_args(&args);
-    let result = match args.positional.first().map(|s| s.as_str()) {
-        Some("solve") => with_obs(&obs_req, || cmd_solve(&args)),
-        Some("dynamic") => with_obs(&obs_req, || cmd_dynamic(&args)),
-        Some("gen") => cmd_gen(&args).map_err(CliError::from),
-        Some("client") => cmd_client(&args).map_err(CliError::from),
-        Some("dot") => cmd_dot(&args).map_err(CliError::from),
-        Some("bench") => with_obs(&obs_req, || cmd_bench(&args)),
-        _ => Err(CliError::from(USAGE.to_string())),
-    };
-    match result {
+    match Args::parse(&raw).map_err(CliError::from).and_then(|args| run(&args)) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("mcr: {}", e.message);

@@ -177,6 +177,53 @@ fn no_subcommand_prints_usage() {
     assert!(stderr.contains("usage"));
 }
 
+/// Runs `mcr` with `args` and stdin closed, returning its exit
+/// code and stderr.
+fn exit_code_and_stderr(args: &[&str]) -> (Option<i32>, String) {
+    let out = mcr()
+        .args(args)
+        .stdin(Stdio::null())
+        .output()
+        .expect("run mcr");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+#[test]
+fn value_flag_without_a_value_is_a_usage_error() {
+    let multi = concat!(env!("CARGO_MANIFEST_DIR"), "/../../benchmarks/multi_scc.dimacs");
+    for args in [
+        vec!["solve", multi, "--epsilon"],
+        vec!["solve", multi, "--threads", "--counters"],
+        vec!["gen", "sprand", "10", "30", "--seed"],
+    ] {
+        let (code, stderr) = exit_code_and_stderr(&args);
+        assert_eq!(code, Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains("needs a value"), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage"), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn unknown_flag_is_a_usage_error() {
+    let multi = concat!(env!("CARGO_MANIFEST_DIR"), "/../../benchmarks/multi_scc.dimacs");
+    for args in [
+        vec!["solve", multi, "--sweep", "chunked"],
+        vec!["solve", multi, "--sweep-threads", "4"],
+        vec!["bench", multi, "--sweep-chunk", "16"],
+        vec!["solve", multi, "--treads", "2"],
+    ] {
+        let (code, stderr) = exit_code_and_stderr(&args);
+        assert_eq!(code, Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains("unknown flag"), "{args:?}: {stderr}");
+    }
+    // The same file with only known flags still solves.
+    let (code, stderr) = exit_code_and_stderr(&["solve", multi, "--threads", "2", "--counters"]);
+    assert_eq!(code, Some(0), "{stderr}");
+}
+
 #[test]
 fn gen_requests_emits_a_deterministic_request_log() {
     let a = mcr()

@@ -541,10 +541,15 @@ mod tests {
 
     #[test]
     fn inactive_hooks_are_noops() {
-        assert!(!active());
-        counter_add("x", 1);
-        timing_record("t", 10);
-        job_event(0, "job.start", Vec::new());
+        {
+            // Hold the install lock so no other test's recorder is
+            // active while the hooks run.
+            let _serial = INSTALL.lock().unwrap_or_else(|p| p.into_inner());
+            assert!(!active());
+            counter_add("x", 1);
+            timing_record("t", 10);
+            job_event(0, "job.start", Vec::new());
+        }
         let report = {
             let guard = install();
             guard.finish()

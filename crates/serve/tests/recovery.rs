@@ -113,8 +113,14 @@ fn restart_finishes_work_the_stopped_daemon_admitted() {
     let b = start(2, &dir);
     assert_eq!(b.metric("serve.journal.recovered"), Some(2));
     wait_for("recovered requests solved", || recovered_lines(&dir).len() == 2);
+    // Two workers finish the two requests in either order, so match
+    // each recovered line to its request by id.
     let recovered = recovered_lines(&dir);
-    for (line, graph) in [(&recovered[0], &g1), (&recovered[1], &g2)] {
+    for (id, graph) in [(1, &g1), (2, &g2)] {
+        let line = recovered
+            .iter()
+            .find(|v| v.get("id").and_then(Value::as_u64) == Some(id))
+            .expect("one recovered line per request id");
         assert_eq!(field(line, "status"), "ok");
         assert_eq!(
             field(line, "lambda"),
