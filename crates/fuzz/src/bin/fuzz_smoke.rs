@@ -97,9 +97,26 @@ fn framed_seeds() -> Vec<Vec<u8>> {
     .collect()
 }
 
+/// Bare JSON seeds for the codec fuzzer: a request with escapes and
+/// multi-byte text, and a long string whose control byte comes late,
+/// the shape that once made decoding quadratic.
+fn json_seeds() -> Vec<Vec<u8>> {
+    let mut late_control = b"{\"graph\":\"".to_vec();
+    late_control.extend(b"a 1 2 5\\n".repeat(1000));
+    late_control.extend(b"\x01\"}");
+    vec![
+        "{\"schema\":\"mcr-req v1\",\"id\":3,\"op\":\"solve\",\"graph\":\"p mcr 1 1\\na 1 1 7\\n\",\
+         \"note\":\"\\u00e9\\t\\\"é😀\",\"cycle\":[0,2],\"maximize\":true,\"deadline_ms\":null}"
+            .as_bytes()
+            .to_vec(),
+        late_control,
+    ]
+}
+
 fn load_corpus() -> Vec<Vec<u8>> {
     let mut corpus: Vec<Vec<u8>> = VALID_SEEDS.iter().map(|s| s.to_vec()).collect();
     corpus.extend(framed_seeds());
+    corpus.extend(json_seeds());
     let mut entries: Vec<_> = std::fs::read_dir(CORPUS_DIR)
         .unwrap_or_else(|e| panic!("corpus dir {CORPUS_DIR}: {e}"))
         .map(|e| e.expect("corpus entry").path())
@@ -150,6 +167,7 @@ fn main() -> ExitCode {
             mcr_fuzz::fuzz_dimacs(entry);
             mcr_fuzz::fuzz_solve(entry);
             mcr_fuzz::fuzz_frame(entry);
+            mcr_fuzz::fuzz_json(entry);
         });
     }
 
@@ -161,6 +179,7 @@ fn main() -> ExitCode {
             mcr_fuzz::fuzz_dimacs(&input);
             mcr_fuzz::fuzz_solve(&input);
             mcr_fuzz::fuzz_frame(&input);
+            mcr_fuzz::fuzz_json(&input);
         });
     }
     println!("fuzz-smoke: ok ({runs} runs clean)");

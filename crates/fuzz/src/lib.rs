@@ -97,6 +97,50 @@ pub fn fuzz_frame(data: &[u8]) {
     }
 }
 
+/// Fuzz the wire JSON codec on its own: arbitrary bytes (lossily made
+/// UTF-8, as [`mcr_serve::json::parse`] takes `&str`) must parse or
+/// fail with an error whose offset lies inside the input — never panic.
+/// Every string a successful parse yields, object keys included, must
+/// round-trip exactly through [`mcr_serve::json::ObjWriter`] and back.
+pub fn fuzz_json(data: &[u8]) {
+    use mcr_serve::json::{parse, ObjWriter, Value};
+    let text = String::from_utf8_lossy(data);
+    let value = match parse(&text) {
+        Ok(value) => value,
+        Err(e) => {
+            assert!(
+                e.at <= text.len(),
+                "error offset {} past the input's {} bytes",
+                e.at,
+                text.len()
+            );
+            return;
+        }
+    };
+    let mut stack = vec![&value];
+    let mut strings: Vec<&str> = Vec::new();
+    while let Some(v) = stack.pop() {
+        match v {
+            Value::Str(s) => strings.push(s),
+            Value::Arr(items) => stack.extend(items),
+            Value::Obj(map) => {
+                strings.extend(map.keys().map(String::as_str));
+                stack.extend(map.values());
+            }
+            Value::Null | Value::Bool(_) | Value::Num(_) => {}
+        }
+    }
+    for s in strings {
+        let doc = ObjWriter::new().str("k", s).finish();
+        let back = parse(&doc).expect("writer output must parse");
+        assert_eq!(
+            back.get("k").and_then(Value::as_str),
+            Some(s),
+            "string changed on round trip"
+        );
+    }
+}
+
 /// Deterministically decode fuzz bytes into a graph small enough that
 /// every algorithm terminates quickly: the first byte picks `n` in
 /// `2..=17`, then each subsequent 3-byte chunk becomes one arc
@@ -181,5 +225,18 @@ mod tests {
         fuzz_frame(&[0xFF, 0xFF, 0xFF, 0xFF, b'x']);
         fuzz_frame(&[0, 0, 0, 100, b'p', b'a', b'r', b't']);
         fuzz_frame(&[]);
+    }
+
+    #[test]
+    fn json_codec_absorbs_junk_and_round_trips_strings() {
+        fuzz_json(b"{\"k\":[\"a\\n\\u00e9\",{\"\\t\":null}],\"n\":-1.5e3}");
+        fuzz_json(b"\"\xff\xfe\"");
+        fuzz_json(&[b'"', 0xC3]);
+        fuzz_json(b"\"\\u12");
+        fuzz_json(b"");
+        let mut late_control = vec![b'"'];
+        late_control.extend([b'x'; 5000]);
+        late_control.extend(b"\x01\"");
+        fuzz_json(&late_control);
     }
 }

@@ -18,12 +18,17 @@
 //!   progress, rewritten atomically after each slice and removed on
 //!   completion.
 //!
-//! On restart, [`Journal::replay`] returns the accepted-but-unfinished
-//! requests in admission order; the server re-queues them and the
-//! worker resumes each from its checkpoint file if one survived. A
-//! corrupt line (torn write from the crash) or an injected
-//! `serve.journal.replay` fault skips that entry — recovery degrades,
-//! it never panics or refuses to start.
+//! On restart, [`Journal::recover`] reads the log once and returns the
+//! accepted-but-unfinished requests in admission order plus the settled
+//! outcomes; the server seeds its dedup log from the latter, re-queues
+//! the former, and the worker resumes each from its checkpoint file if
+//! one survived. A corrupt line (torn write from the crash) or an
+//! injected `serve.journal.replay` fault skips that entry — recovery
+//! degrades, it never panics or refuses to start.
+//!
+//! An `accept` line stores the request JSON as a string, so the request
+//! is escaped once more on the way in and decoded once more on replay;
+//! both are single linear passes of [`crate::json`].
 
 // The journal reads back files written by a crashed process: every
 // parse must fail soft.
@@ -32,6 +37,7 @@
 use crate::chaos;
 use crate::json::{self, ObjWriter, Value};
 use mcr_core::{Checkpoint, SolveStatus};
+use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -44,6 +50,21 @@ pub const JOURNAL_FILE: &str = "journal.jsonl";
 pub struct Journal {
     dir: PathBuf,
     file: Mutex<File>,
+}
+
+/// What [`Journal::recover`] reads back from the log at start-up.
+#[derive(Default)]
+pub struct Recovery {
+    /// Accepted-but-unfinished requests, in admission order.
+    pub pending: Vec<RecoveredRequest>,
+    /// Every `done`/`recovered` entry's `(id, status, lambda)`, last
+    /// write wins, ordered by the position of that last write. This is
+    /// the duplicate-suppression base: a client re-send whose id
+    /// appears here is answered from the journal instead of re-solved.
+    pub settled: Vec<(u64, SolveStatus, Option<String>)>,
+    /// Entries skipped from `pending` (corrupt lines, injected replay
+    /// faults).
+    pub skipped: u64,
 }
 
 /// One recovered request: the admission id and the original request
@@ -127,79 +148,75 @@ impl Journal {
         self.append(&w.finish())
     }
 
-    /// Scans the log and returns accepted-but-unfinished requests in
-    /// admission order, plus the number of entries skipped (corrupt
-    /// lines, injected replay faults).
-    pub fn replay(&self) -> (Vec<RecoveredRequest>, u64) {
+    /// Reads and parses the log once and returns everything a restart
+    /// needs: the accepted-but-unfinished requests, the settled
+    /// outcomes, and the number of entries skipped. One pass over the
+    /// log, `O(N log N)` in its entry count: the log is never compacted,
+    /// so start-up must not be quadratic in it.
+    pub fn recover(&self) -> Recovery {
         let text = match fs::read_to_string(self.dir.join(JOURNAL_FILE)) {
             Ok(text) => text,
-            Err(_) => return (Vec::new(), 0),
+            Err(_) => return Recovery::default(),
         };
-        let mut pending: Vec<(u64, String)> = Vec::new();
+        // Accepts in admission order; a `done`/`recovered` entry empties
+        // the slots of every earlier accept of its id. Ids may repeat,
+        // so one id can own several slots.
+        let mut slots: Vec<Option<RecoveredRequest>> = Vec::new();
+        let mut open: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
+        // id → (line of its latest settled entry, status, λ).
+        let mut latest: BTreeMap<u64, (usize, SolveStatus, Option<String>)> = BTreeMap::new();
         let mut skipped = 0u64;
-        for line in text.lines() {
+        for (line_no, line) in text.lines().enumerate() {
             if line.trim().is_empty() {
                 continue;
             }
-            if chaos::fail_hit("serve.journal.replay") {
-                skipped += 1;
-                continue;
-            }
-            let Ok(v) = json::parse(line) else {
+            // An injected replay fault drops the entry from `pending`
+            // only; its settled outcome is still read.
+            let fault = chaos::fail_hit("serve.journal.replay");
+            let Ok(mut v) = json::parse(line) else {
                 skipped += 1;
                 continue;
             };
             let id = v.get("id").and_then(Value::as_u64);
             match (v.get("kind").and_then(Value::as_str), id) {
-                (Some("accept"), Some(id)) => {
-                    match v.get("req").and_then(Value::as_str) {
-                        Some(req) => pending.push((id, req.to_string())),
-                        None => skipped += 1,
+                (Some("accept"), Some(id)) if !fault => match v.take_str("req") {
+                    Some(payload) => {
+                        open.entry(id).or_default().push(slots.len());
+                        slots.push(Some(RecoveredRequest { id, payload }));
                     }
-                }
+                    None => skipped += 1,
+                },
                 (Some("done" | "recovered"), Some(id)) => {
-                    pending.retain(|&(p, _)| p != id);
+                    if fault {
+                        skipped += 1;
+                    } else {
+                        for slot in open.remove(&id).unwrap_or_default() {
+                            if let Some(s) = slots.get_mut(slot) {
+                                *s = None;
+                            }
+                        }
+                    }
+                    let status = v
+                        .get("status")
+                        .and_then(Value::as_str)
+                        .and_then(|name| SolveStatus::ALL.iter().find(|s| s.wire_name() == name));
+                    if let Some(&status) = status {
+                        latest.insert(id, (line_no, status, v.take_str("lambda")));
+                    }
                 }
                 _ => skipped += 1,
             }
         }
-        let recovered = pending
-            .into_iter()
-            .map(|(id, payload)| RecoveredRequest { id, payload })
-            .collect();
-        (recovered, skipped)
-    }
-
-    /// Scans the log for settled outcomes: every `done`/`recovered`
-    /// entry's `(id, status, lambda)`, last write wins. This is the
-    /// duplicate-suppression base: a client re-send whose id appears
-    /// here is answered from the journal instead of re-solved.
-    pub fn settled(&self) -> Vec<(u64, SolveStatus, Option<String>)> {
-        let text = match fs::read_to_string(self.dir.join(JOURNAL_FILE)) {
-            Ok(text) => text,
-            Err(_) => return Vec::new(),
-        };
-        let mut out: Vec<(u64, SolveStatus, Option<String>)> = Vec::new();
-        for line in text.lines() {
-            let Ok(v) = json::parse(line) else { continue };
-            let (Some("done" | "recovered"), Some(id)) = (
-                v.get("kind").and_then(Value::as_str),
-                v.get("id").and_then(Value::as_u64),
-            ) else {
-                continue;
-            };
-            let Some(status) = v
-                .get("status")
-                .and_then(Value::as_str)
-                .and_then(|name| SolveStatus::ALL.iter().find(|s| s.wire_name() == name))
-            else {
-                continue;
-            };
-            let lambda = v.get("lambda").and_then(Value::as_str).map(String::from);
-            out.retain(|&(p, _, _)| p != id);
-            out.push((id, *status, lambda));
+        let mut settled: Vec<_> = latest.into_iter().collect();
+        settled.sort_unstable_by_key(|&(_, (line_no, _, _))| line_no);
+        Recovery {
+            pending: slots.into_iter().flatten().collect(),
+            settled: settled
+                .into_iter()
+                .map(|(id, (_, status, lambda))| (id, status, lambda))
+                .collect(),
+            skipped,
         }
-        out
     }
 
     /// Path of the checkpoint sidecar for request `id`.
@@ -249,18 +266,18 @@ mod tests {
         j.accept(2, "{\"id\":2}").expect("accept");
         j.accept(3, "{\"id\":3}").expect("accept");
         j.done(2, SolveStatus::Ok, Some("3/1")).expect("done");
-        let (pending, skipped) = j.replay();
-        assert_eq!(skipped, 0);
-        let ids: Vec<u64> = pending.iter().map(|r| r.id).collect();
+        let rec = j.recover();
+        assert_eq!(rec.skipped, 0);
+        let ids: Vec<u64> = rec.pending.iter().map(|r| r.id).collect();
         assert_eq!(ids, vec![1, 3]);
-        assert_eq!(pending[0].payload, "{\"id\":1}");
+        assert_eq!(rec.pending[0].payload, "{\"id\":1}");
         // A second process completing the recovered work closes them.
         j.recovered(1, SolveStatus::Ok, Some("5/2")).expect("rec");
         j.recovered(3, SolveStatus::Cancelled, None).expect("rec");
-        let (pending, _) = j.replay();
-        assert!(pending.is_empty());
+        let rec = j.recover();
+        assert!(rec.pending.is_empty());
         // And the settled scan reconstructs every outcome with its λ.
-        let settled = j.settled();
+        let settled = rec.settled;
         assert_eq!(settled.len(), 3);
         let find = |id: u64| settled.iter().find(|&&(p, _, _)| p == id).expect("settled");
         assert_eq!(find(2), &(2, SolveStatus::Ok, Some("3/1".to_string())));
@@ -284,9 +301,145 @@ mod tests {
             f.write_all(b"\n{\"kind\":\"mystery\",\"id\":7}\n")
                 .expect("junk");
         }
-        let (pending, skipped) = j.replay();
-        assert_eq!(pending.len(), 1);
-        assert_eq!(skipped, 2);
+        let rec = j.recover();
+        assert_eq!(rec.pending.len(), 1);
+        assert_eq!(rec.skipped, 2);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The pending scan as it was before [`Journal::recover`]: one
+    /// `retain` per settled entry. Kept as the reference semantics.
+    fn replay_reference(text: &str) -> (Vec<(u64, String)>, u64) {
+        let mut pending: Vec<(u64, String)> = Vec::new();
+        let mut skipped = 0u64;
+        for line in text.lines() {
+            if line.trim().is_empty() {
+                continue;
+            }
+            let Ok(v) = json::parse(line) else {
+                skipped += 1;
+                continue;
+            };
+            let id = v.get("id").and_then(Value::as_u64);
+            match (v.get("kind").and_then(Value::as_str), id) {
+                (Some("accept"), Some(id)) => match v.get("req").and_then(Value::as_str) {
+                    Some(req) => pending.push((id, req.to_string())),
+                    None => skipped += 1,
+                },
+                (Some("done" | "recovered"), Some(id)) => pending.retain(|&(p, _)| p != id),
+                _ => skipped += 1,
+            }
+        }
+        (pending, skipped)
+    }
+
+    /// The settled scan as it was before [`Journal::recover`]: last
+    /// write wins, by `retain` + `push`. Kept as the reference semantics.
+    fn settled_reference(text: &str) -> Vec<(u64, SolveStatus, Option<String>)> {
+        let mut out: Vec<(u64, SolveStatus, Option<String>)> = Vec::new();
+        for line in text.lines() {
+            let Ok(v) = json::parse(line) else { continue };
+            let (Some("done" | "recovered"), Some(id)) = (
+                v.get("kind").and_then(Value::as_str),
+                v.get("id").and_then(Value::as_u64),
+            ) else {
+                continue;
+            };
+            let Some(status) = v
+                .get("status")
+                .and_then(Value::as_str)
+                .and_then(|name| SolveStatus::ALL.iter().find(|s| s.wire_name() == name))
+            else {
+                continue;
+            };
+            let lambda = v.get("lambda").and_then(Value::as_str).map(String::from);
+            out.retain(|&(p, _, _)| p != id);
+            out.push((id, *status, lambda));
+        }
+        out
+    }
+
+    /// A seeded 50k-entry journal that is never compacted: ids repeat
+    /// (re-sent requests, several `done`/`recovered` per id), and torn,
+    /// blank, unknown-kind, `req`-less and bad-status lines are mixed in.
+    fn synthetic_journal(entries: usize) -> String {
+        let mut state = 0x10_u64;
+        let mut next = move |bound: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % bound
+        };
+        let mut text = String::new();
+        let mut high = 0u64;
+        for _ in 0..entries {
+            // Mostly fresh ids settled soon after admission, with a long
+            // tail of re-sends and late settles of old ids.
+            let id = if next(4) == 0 {
+                next(high + 1)
+            } else {
+                high.saturating_sub(next(8))
+            };
+            let line = match next(20) {
+                0..=7 => {
+                    // A re-sent request is admitted again under its old id.
+                    let id = if next(10) == 0 {
+                        id
+                    } else {
+                        high += 1;
+                        high
+                    };
+                    ObjWriter::new()
+                        .str("kind", "accept")
+                        .u64("id", id)
+                        .str(
+                            "req",
+                            &format!("{{\"id\":{id},\"graph\":\"p mcr 2 2\\n\"}}"),
+                        )
+                        .finish()
+                }
+                8..=15 => {
+                    let kind = if next(3) == 0 { "recovered" } else { "done" };
+                    let status = SolveStatus::ALL[next(SolveStatus::ALL.len() as u64) as usize];
+                    let mut w = ObjWriter::new()
+                        .str("kind", kind)
+                        .u64("id", id)
+                        .str("status", status.wire_name());
+                    if next(2) == 0 {
+                        w = w.str("lambda", &format!("{}/{}", next(100), 1 + next(9)));
+                    }
+                    w.finish()
+                }
+                16 => "{\"kind\":\"acc".to_string(),
+                17 => ["", "   ", "{\"kind\":\"mystery\",\"id\":3}"][next(3) as usize].to_string(),
+                18 => format!("{{\"kind\":\"accept\",\"id\":{id}}}"),
+                _ => format!("{{\"kind\":\"done\",\"id\":{id},\"status\":\"bogus\"}}"),
+            };
+            text.push_str(&line);
+            text.push('\n');
+        }
+        text
+    }
+
+    #[test]
+    fn recover_matches_the_reference_scans_on_a_50k_entry_journal() {
+        let dir = tmpdir("large");
+        fs::create_dir_all(&dir).expect("mkdir");
+        let text = synthetic_journal(50_000);
+        fs::write(dir.join(JOURNAL_FILE), &text).expect("write journal");
+        let rec = Journal::open(&dir).expect("open").recover();
+        let (pending, skipped) = replay_reference(&text);
+        let settled = settled_reference(&text);
+        // The journal exercises every path: duplicates, settles and junk.
+        assert!(pending.len() > 100 && settled.len() > 10_000 && skipped > 1_000);
+        let mut ids: Vec<u64> = pending.iter().map(|&(id, _)| id).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        assert!(ids.len() < pending.len(), "some id is pending twice");
+        let got: Vec<(u64, String)> = rec.pending.into_iter().map(|r| (r.id, r.payload)).collect();
+        assert_eq!(got, pending, "pending requests in admission order");
+        assert_eq!(rec.skipped, skipped, "corrupt-line skip count");
+        assert_eq!(rec.settled, settled, "settled outcomes, last write wins");
         let _ = fs::remove_dir_all(&dir);
     }
 

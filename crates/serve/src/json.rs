@@ -1,12 +1,21 @@
 //! Minimal JSON reader/writer for the wire protocol.
 //!
 //! The workspace is offline and `vendor/serde_json` is an honest stub
-//! (it always errors), so the service speaks JSON through this ~200
+//! (it always errors), so the service speaks JSON through this ~400
 //! line module instead: a recursive-descent parser into [`Value`] and
 //! an escaping writer. It covers exactly what `mcr-req v1` /
 //! `mcr-resp v1` need — objects, arrays, strings with `\uXXXX`
 //! escapes, integers/floats, booleans, null — and rejects everything
 //! else with a position-carrying error.
+//!
+//! Both directions are one linear pass. [`parse`] takes `&str`, so the
+//! input is UTF-8-validated once by whoever built it; string literals
+//! are then decoded a maximal run of plain bytes at a time (a run ends
+//! only at `"`, `\` or a control byte, all ASCII, so each run is a
+//! char-boundary slice copied with one `push_str`). [`escape`] and
+//! [`ObjWriter`] copy plain runs the same way and write only the
+//! characters that need it as escapes. A multi-megabyte inline graph
+//! therefore costs a few milliseconds to decode, not minutes.
 
 // Wire parsing must never panic on hostile bytes; CI runs clippy with
 // -D warnings, so these lints are a gate.
@@ -66,6 +75,18 @@ impl Value {
             _ => None,
         }
     }
+
+    /// Moves the string under `key` out of an object, leaving the key
+    /// absent; `None` (and the key removed) when it holds no string.
+    pub fn take_str(&mut self, key: &str) -> Option<String> {
+        match self {
+            Value::Obj(m) => match m.remove(key) {
+                Some(Value::Str(s)) => Some(s),
+                _ => None,
+            },
+            _ => None,
+        }
+    }
 }
 
 /// Parse failure with a byte offset into the input.
@@ -85,11 +106,10 @@ impl std::error::Error for JsonError {}
 
 /// Parses one JSON document; trailing non-whitespace is an error.
 pub fn parse(text: &str) -> Result<Value, JsonError> {
-    let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let v = parse_value(bytes, &mut pos, 0)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
+    let v = parse_value(text, &mut pos, 0)?;
+    skip_ws(text.as_bytes(), &mut pos);
+    if pos != text.len() {
         return Err(err(pos, "trailing characters after document"));
     }
     Ok(v)
@@ -114,7 +134,8 @@ fn skip_ws(b: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, JsonError> {
+fn parse_value(src: &str, pos: &mut usize, depth: usize) -> Result<Value, JsonError> {
+    let b = src.as_bytes();
     if depth > MAX_DEPTH {
         return Err(err(*pos, "nesting too deep"));
     }
@@ -131,7 +152,7 @@ fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, JsonErr
             }
             loop {
                 skip_ws(b, pos);
-                let key = match parse_value(b, pos, depth + 1)? {
+                let key = match parse_value(src, pos, depth + 1)? {
                     Value::Str(s) => s,
                     _ => return Err(err(*pos, "object key must be a string")),
                 };
@@ -140,7 +161,7 @@ fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, JsonErr
                     return Err(err(*pos, "expected `:` after object key"));
                 }
                 *pos += 1;
-                let val = parse_value(b, pos, depth + 1)?;
+                let val = parse_value(src, pos, depth + 1)?;
                 map.insert(key, val);
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -162,7 +183,7 @@ fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, JsonErr
                 return Ok(Value::Arr(arr));
             }
             loop {
-                arr.push(parse_value(b, pos, depth + 1)?);
+                arr.push(parse_value(src, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -174,7 +195,7 @@ fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, JsonErr
                 }
             }
         }
-        Some(b'"') => parse_string(b, pos).map(Value::Str),
+        Some(b'"') => parse_string(src, pos).map(Value::Str),
         Some(b't') => parse_lit(b, pos, "true", Value::Bool(true)),
         Some(b'f') => parse_lit(b, pos, "false", Value::Bool(false)),
         Some(b'n') => parse_lit(b, pos, "null", Value::Null),
@@ -211,10 +232,25 @@ fn parse_number(b: &[u8], pos: &mut usize) -> Result<Value, JsonError> {
     Ok(Value::Num(n))
 }
 
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, JsonError> {
+/// Decodes a string literal starting at its opening quote. Plain text
+/// is copied a maximal run at a time: a run ends only at `"`, `\` or a
+/// byte below 0x20, all ASCII, so every run is a char-boundary slice of
+/// `src` and needs no UTF-8 check of its own.
+fn parse_string(src: &str, pos: &mut usize) -> Result<String, JsonError> {
+    let b = src.as_bytes();
     *pos += 1; // opening quote
     let mut out = String::new();
     loop {
+        let start = *pos;
+        while b
+            .get(*pos)
+            .is_some_and(|&c| c != b'"' && c != b'\\' && c >= 0x20)
+        {
+            *pos += 1;
+        }
+        // Both ends sit on ASCII bytes (or the end of input), so the
+        // slice is on char boundaries and cannot fail.
+        out.push_str(&src[start..*pos]);
         match b.get(*pos) {
             None => return Err(err(*pos, "unterminated string")),
             Some(b'"') => {
@@ -248,19 +284,7 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                 }
                 *pos += 1;
             }
-            Some(&c) if c < 0x20 => return Err(err(*pos, "raw control character in string")),
-            Some(_) => {
-                // Copy one UTF-8 scalar (multi-byte sequences intact).
-                let s = std::str::from_utf8(b.get(*pos..).unwrap_or(b""))
-                    .map_err(|_| err(*pos, "invalid utf-8 in string"))?;
-                match s.chars().next() {
-                    Some(c) => {
-                        out.push(c);
-                        *pos += c.len_utf8();
-                    }
-                    None => return Err(err(*pos, "unterminated string")),
-                }
-            }
+            Some(_) => return Err(err(*pos, "raw control character in string")),
         }
     }
 }
@@ -268,20 +292,40 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, JsonError> {
 /// Escapes `s` for embedding in a JSON string literal (no quotes added).
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
+    escape_into(&mut out, s);
     out
+}
+
+/// Appends `s`, escaped, to `out`. Plain text is copied a maximal run at
+/// a time; only `"`, `\` and control characters break a run, and each
+/// becomes its short escape or `\u00XX`.
+fn escape_into(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let mut start = 0;
+    for (i, c) in s.bytes().enumerate() {
+        let short = match c {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\t' => Some("\\t"),
+            b'\r' => Some("\\r"),
+            c if c < 0x20 => None,
+            _ => continue,
+        };
+        // `i` indexes an ASCII byte, so both slice ends are char
+        // boundaries.
+        out.push_str(&s[start..i]);
+        match short {
+            Some(esc) => out.push_str(esc),
+            None => {
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(c >> 4)]));
+                out.push(char::from(HEX[usize::from(c & 0xf)]));
+            }
+        }
+        start = i + 1;
+    }
+    out.push_str(&s[start..]);
 }
 
 /// Incremental JSON object writer: `Writer::obj().str("k", "v")...`.
@@ -306,14 +350,14 @@ impl ObjWriter {
         }
         self.first = false;
         self.buf.push('"');
-        self.buf.push_str(&escape(k));
+        escape_into(&mut self.buf, k);
         self.buf.push_str("\":");
     }
 
     pub fn str(mut self, k: &str, v: &str) -> Self {
         self.key(k);
         self.buf.push('"');
-        self.buf.push_str(&escape(v));
+        escape_into(&mut self.buf, v);
         self.buf.push('"');
         self
     }
@@ -440,5 +484,136 @@ mod tests {
     fn depth_limit_is_enforced() {
         let deep = "[".repeat(100) + &"]".repeat(100);
         assert!(parse(&deep).is_err());
+    }
+
+    /// The per-`char` escaper the run-based [`escape`] replaced, kept as
+    /// the reference its output must match byte for byte.
+    fn escape_per_char(s: &str) -> String {
+        let mut out = String::with_capacity(s.len());
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\t' => out.push_str("\\t"),
+                '\r' => out.push_str("\\r"),
+                c if (c as u32) < 0x20 => {
+                    out.push_str(&format!("\\u{:04x}", c as u32));
+                }
+                c => out.push(c),
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn malformed_strings_keep_their_error_offsets_and_messages() {
+        let long = "a".repeat(4096);
+        let cases: Vec<(String, usize, &str)> = vec![
+            ("\"abc".into(), 4, "unterminated string"),
+            ("{\"k\":\"abc".into(), 9, "unterminated string"),
+            ("\"é".into(), 3, "unterminated string"),
+            ("\"a\u{1}b\"".into(), 2, "raw control character in string"),
+            ("\"é\u{0}\"".into(), 3, "raw control character in string"),
+            ("\"a\\qb\"".into(), 3, "invalid escape"),
+            ("\"a\\".into(), 3, "invalid escape"),
+            ("\"\\é\"".into(), 2, "invalid escape"),
+            ("\"\\u12\"".into(), 2, "truncated \\u escape"),
+            ("\"\\u1é".into(), 2, "truncated \\u escape"),
+            // The four bytes after `\u` cut `é` in half: not UTF-8.
+            ("\"\\u123é\"".into(), 2, "truncated \\u escape"),
+            ("\"\\u12é\"".into(), 2, "invalid \\u escape"),
+            ("\"\\uzzzz\"".into(), 2, "invalid \\u escape"),
+            (
+                format!("\"{long}\u{1f}\""),
+                4097,
+                "raw control character in string",
+            ),
+            (
+                format!("\"é😀{long}\n\""),
+                4103,
+                "raw control character in string",
+            ),
+            (format!("{{\"k\":\"{long}\\x\"}}"), 4103, "invalid escape"),
+            (format!("\"{long}"), 4097, "unterminated string"),
+        ];
+        for (text, at, message) in cases {
+            let want = JsonError {
+                at,
+                message: message.to_string(),
+            };
+            assert_eq!(parse(&text), Err(want), "{text:?}");
+        }
+    }
+
+    #[test]
+    fn multi_byte_utf8_mixes_with_escapes() {
+        let text = "\"é\\n😀\\u00e9\u{80}\\t\u{7ff}\\\"\\u0080\\u07FF\\ud800/\\/\"";
+        let want = "é\n😀é\u{80}\t\u{7ff}\"\u{80}\u{7ff}\u{fffd}//";
+        assert_eq!(parse(text), Ok(Value::Str(want.to_string())));
+        let s = "é😀\u{80}\u{7ff}\u{800}\u{ffff}\u{10ffff}\"\\\n\u{1}";
+        assert_eq!(escape(s), escape_per_char(s));
+        let doc = ObjWriter::new().str("k", s).finish();
+        assert_eq!(
+            parse(&doc)
+                .expect("parses")
+                .get("k")
+                .and_then(Value::as_str),
+            Some(s)
+        );
+    }
+
+    /// Seeded random strings over an alphabet weighted towards the bytes
+    /// the codec treats specially: every control character, `"`, `\`,
+    /// and one- to four-byte UTF-8 scalars.
+    fn random_string(state: &mut u64) -> String {
+        let mut next = || {
+            *state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            *state >> 33
+        };
+        let special = [
+            '"',
+            '\\',
+            '/',
+            'é',
+            '😀',
+            '\u{80}',
+            '\u{7ff}',
+            '\u{800}',
+            '\u{ffff}',
+            '\u{10ffff}',
+        ];
+        let len = match next() % 8 {
+            0 => 0,
+            7 => 2000 + next() as usize % 4000,
+            _ => next() as usize % 64,
+        };
+        (0..len)
+            .map(|_| match next() % 6 {
+                0 => char::from_u32((next() % 0x20) as u32).unwrap_or('?'),
+                1 => special[next() as usize % special.len()],
+                2 => char::from_u32((next() % 0x11_0000) as u32).unwrap_or('\u{fffd}'),
+                _ => char::from_u32(0x20 + (next() % 0x5f) as u32).unwrap_or('?'),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn seeded_random_strings_round_trip_and_escape_like_the_reference() {
+        let mut state = 0x5EED_u64;
+        let mut strings: Vec<String> = (0..1500).map(|_| random_string(&mut state)).collect();
+        strings.push((0u8..0x20).map(char::from).collect());
+        for s in &strings {
+            assert_eq!(escape(s), escape_per_char(s), "{s:?}");
+            // Keys and values go through the same escaper; the writer's
+            // bytes are what the journal stores, so they must not move.
+            let doc = ObjWriter::new().str(s, s).finish();
+            let e = escape_per_char(s);
+            assert_eq!(doc, format!("{{\"{e}\":\"{e}\"}}"));
+            let want = Value::Obj(BTreeMap::from([(s.clone(), Value::Str(s.clone()))]));
+            assert_eq!(parse(&doc), Ok(want));
+        }
     }
 }

@@ -156,15 +156,29 @@ fn fail(id: u64, message: impl Into<String>) -> RequestError {
     }
 }
 
+fn not_utf8(e: std::str::Utf8Error) -> RequestError {
+    fail(0, format!("request is not UTF-8: {e}"))
+}
+
 /// Parses and validates one request frame.
 pub fn parse_request(payload: &[u8]) -> Result<Request, RequestError> {
-    let text = std::str::from_utf8(payload)
-        .map_err(|e| fail(0, format!("request is not UTF-8: {e}")))?;
-    let value = json::parse(text).map_err(|e| fail(0, format!("request is not JSON: {e}")))?;
-    let obj = match &value {
-        Value::Obj(_) => &value,
-        _ => return Err(fail(0, "request must be a JSON object")),
-    };
+    parse_request_text(std::str::from_utf8(payload).map_err(not_utf8)?)
+}
+
+/// Takes ownership of a frame's payload as text, failing exactly as
+/// [`parse_request`] does on bytes that are not UTF-8. The daemon
+/// validates each frame once here and then parses and journals the
+/// same `String`.
+pub fn request_text(payload: Vec<u8>) -> Result<String, RequestError> {
+    String::from_utf8(payload).map_err(|e| not_utf8(e.utf8_error()))
+}
+
+/// Parses and validates one request already known to be UTF-8.
+pub fn parse_request_text(text: &str) -> Result<Request, RequestError> {
+    let mut obj = json::parse(text).map_err(|e| fail(0, format!("request is not JSON: {e}")))?;
+    if !matches!(obj, Value::Obj(_)) {
+        return Err(fail(0, "request must be a JSON object"));
+    }
     // Salvage the id first so every later rejection is correlatable.
     let id = obj.get("id").and_then(Value::as_u64).unwrap_or(0);
     match obj.get("schema").and_then(Value::as_str) {
@@ -176,8 +190,8 @@ pub fn parse_request(payload: &[u8]) -> Result<Request, RequestError> {
         return Err(fail(0, "missing or non-integer id"));
     }
     let op = match obj.get("op").and_then(Value::as_str) {
-        Some("solve") => Op::Solve(Box::new(parse_solve(id, obj)?)),
-        Some("edit") => Op::Edit(Box::new(parse_edit(id, obj)?)),
+        Some("solve") => Op::Solve(Box::new(parse_solve(id, &mut obj)?)),
+        Some("edit") => Op::Edit(Box::new(parse_edit(id, &mut obj)?)),
         Some("ping") => Op::Ping,
         Some("metrics") => Op::Metrics,
         Some("shutdown") => Op::Shutdown,
@@ -212,15 +226,14 @@ fn parse_spec(id: u64, obj: &Value) -> Result<SolveSpec, RequestError> {
 }
 
 /// Parses the `graph`/`graph_hash` pair shared by `solve` and `edit`.
+/// The graph text is moved out of `obj`, not copied: it is most of the
+/// payload, and nothing reads it from the object again.
 fn parse_instance(
     id: u64,
-    obj: &Value,
+    obj: &mut Value,
     what: &str,
 ) -> Result<(Option<String>, Option<u64>), RequestError> {
-    let graph_text = obj
-        .get("graph")
-        .and_then(Value::as_str)
-        .map(|s| s.to_string());
+    let graph_text = obj.take_str("graph");
     let graph_hash = match obj.get("graph_hash").and_then(Value::as_str) {
         None => None,
         Some(hex) => Some(
@@ -233,7 +246,7 @@ fn parse_instance(
     Ok((graph_text, graph_hash))
 }
 
-fn parse_solve(id: u64, obj: &Value) -> Result<SolveJob, RequestError> {
+fn parse_solve(id: u64, obj: &mut Value) -> Result<SolveJob, RequestError> {
     let spec = parse_spec(id, obj)?;
     let (graph_text, graph_hash) = parse_instance(id, obj, "solve")?;
     let epsilon = obj.get("epsilon").and_then(Value::as_f64);
@@ -312,7 +325,7 @@ fn parse_one_edit(id: u64, idx: usize, v: &Value) -> Result<Edit, RequestError> 
     }
 }
 
-fn parse_edit(id: u64, obj: &Value) -> Result<EditJob, RequestError> {
+fn parse_edit(id: u64, obj: &mut Value) -> Result<EditJob, RequestError> {
     let spec = parse_spec(id, obj)?;
     let (graph_text, graph_hash) = parse_instance(id, obj, "edit")?;
     let epsilon = obj.get("epsilon").and_then(Value::as_f64);

@@ -63,7 +63,7 @@ use crate::cache::{self, GraphCache, Resolved};
 use crate::chaos;
 use crate::frame;
 use crate::guard::RequestGuard;
-use crate::journal::Journal;
+use crate::journal::{Journal, RecoveredRequest};
 use crate::metrics::Metrics;
 use crate::protocol::{self, EditJob, Op, Request, SolveJob};
 use mcr_core::error::BudgetResource;
@@ -285,14 +285,18 @@ pub fn serve(cfg: ServeConfig) -> io::Result<ServerHandle> {
         cfg,
     });
     // Replay the journal's settled outcomes so a re-send of an id the
-    // previous process already answered dedups instead of re-solving.
+    // previous process already answered dedups instead of re-solving,
+    // then re-queue what it accepted but never finished.
     if let Some(journal) = &shared.journal {
-        let mut settled = lock(&shared.settled);
-        for (id, status, lambda) in journal.settled() {
-            settled.insert(id, status, lambda);
+        let recovery = journal.recover();
+        {
+            let mut settled = lock(&shared.settled);
+            for (id, status, lambda) in recovery.settled {
+                settled.insert(id, status, lambda);
+            }
         }
+        recover_pending(&shared, recovery.pending, recovery.skipped);
     }
-    recover_pending(&shared);
     let mut threads = Vec::new();
     for _ in 0..shared.cfg.workers {
         let sh = Arc::clone(&shared);
@@ -310,17 +314,13 @@ pub fn serve(cfg: ServeConfig) -> io::Result<ServerHandle> {
 /// Re-queues every journaled request the previous process accepted but
 /// never finished. Runs before the listener thread starts, so recovered
 /// work is ahead of any new admission in the queue.
-fn recover_pending(shared: &Arc<Shared>) {
-    let Some(journal) = &shared.journal else {
-        return;
-    };
-    let (pending, skipped) = journal.replay();
+fn recover_pending(shared: &Shared, pending: Vec<RecoveredRequest>, skipped: u64) {
     for _ in 0..skipped {
         Metrics::bump(&shared.metrics.journal_skipped);
     }
     let mut q = lock(&shared.queue);
     for rec in pending {
-        match protocol::parse_request(rec.payload.as_bytes()) {
+        match protocol::parse_request_text(&rec.payload) {
             Ok(Request {
                 op: Op::Solve(solve),
                 ..
@@ -413,7 +413,11 @@ fn send(shared: &Shared, reply: &ReplyHandle, text: &str) {
 }
 
 fn dispatch(shared: &Arc<Shared>, reply: &ReplyHandle, payload: Vec<u8>) -> Flow {
-    match protocol::parse_request(&payload) {
+    // Validate UTF-8 once: the same `String` is parsed and, for an
+    // admitted solve, journaled.
+    match protocol::request_text(payload)
+        .and_then(|text| protocol::parse_request_text(&text).map(|req| (req, text)))
+    {
         Err(e) => {
             Metrics::bump(&shared.metrics.failed);
             send(
@@ -423,12 +427,12 @@ fn dispatch(shared: &Arc<Shared>, reply: &ReplyHandle, payload: Vec<u8>) -> Flow
             );
             Flow::Continue
         }
-        Ok(Request { id, op }) => match op {
+        Ok((Request { id, op }, payload)) => match op {
             Op::Ping => handle_ping(shared, reply, id, payload.len()),
             Op::Metrics => handle_metrics(shared, reply, id, payload.len()),
             Op::Shutdown => handle_shutdown(shared, reply, id, payload.len()),
             Op::Edit(edit) => handle_edit(shared, reply, id, &edit, payload.len()),
-            Op::Solve(solve) => handle_admit(shared, reply, id, solve, payload),
+            Op::Solve(solve) => handle_admit(shared, reply, id, solve, &payload),
         },
     }
 }
@@ -633,7 +637,7 @@ fn handle_admit(
     reply: &ReplyHandle,
     id: u64,
     solve: Box<SolveJob>,
-    payload: Vec<u8>,
+    payload: &str,
 ) -> Flow {
     let accepted_at = Instant::now();
     let frame_len = payload.len();
@@ -705,16 +709,6 @@ fn handle_admit(
             return Flow::Continue;
         }
     }
-    let Ok(payload_text) = String::from_utf8(payload) else {
-        // parse_request already validated UTF-8; fail typed regardless.
-        Metrics::bump(&shared.metrics.failed);
-        send(
-            shared,
-            reply,
-            &protocol::resp_error(id, SolveStatus::InputError, "request is not UTF-8", None),
-        );
-        return Flow::Continue;
-    };
     // Depth check and journal append happen under one lock so two
     // racing admissions cannot both claim the last slot.
     let mut q = lock(&shared.queue);
@@ -726,7 +720,7 @@ fn handle_admit(
         ));
     }
     if let Some(journal) = &shared.journal {
-        if let Err(e) = journal.accept(id, &payload_text) {
+        if let Err(e) = journal.accept(id, payload) {
             drop(q);
             return shed(format!("journal unavailable: {e}"));
         }

@@ -539,3 +539,55 @@ fn replay_client_drives_the_golden_log_end_to_end() {
     assert!(parses <= 4, "at most one parse per pool instance: {parses}");
     handle.shutdown();
 }
+
+/// A 100000-arc graph (about 2 MB of DIMACS, under `MAX_FRAME_LEN`)
+/// sent inline. No timing assertion: a decoder that is quadratic in the
+/// payload takes tens of minutes on it, so finishing is the guard.
+#[test]
+fn two_megabyte_inline_graph_is_decoded_solved_and_certified() {
+    let g = sprand(
+        &SprandConfig::new(20_000, 100_000)
+            .seed(17)
+            .weight_range(1, 10_000),
+    );
+    let mut buf = Vec::new();
+    mcr_graph::io::write_dimacs(&mut buf, &g).expect("write");
+    let text = String::from_utf8(buf).expect("utf8");
+    let request = solve_req(1, &text, ",\"algorithm\":\"howard-exact\"");
+    assert!(request.len() > 1_500_000 && request.len() < mcr_serve::frame::MAX_FRAME_LEN);
+
+    // The codec hands the graph text back byte for byte.
+    match protocol::parse_request(request.as_bytes())
+        .expect("parses")
+        .op
+    {
+        protocol::Op::Solve(job) => assert_eq!(job.graph_text.as_deref(), Some(text.as_str())),
+        other => panic!("expected a solve, got {other:?}"),
+    }
+
+    let handle = start(serial());
+    let resp = roundtrip(&handle, &[request]);
+    handle.shutdown();
+    let v = &resp[&1];
+    assert_eq!(status_of(v), ("ok", 0));
+    let direct = solve_spec(
+        &g,
+        &SolveSpec::mean(mcr_core::Algorithm::HowardExact),
+        &SolveOptions::new(),
+    )
+    .expect("solves")
+    .expect("cyclic");
+    assert_eq!(
+        v.get("lambda").and_then(Value::as_str),
+        Some(direct.lambda.to_string().as_str())
+    );
+    let Some(Value::Arr(arcs)) = v.get("cycle") else {
+        panic!("response has no cycle: {v:?}")
+    };
+    let cycle = arcs
+        .iter()
+        .map(|a| mcr_graph::ArcId::new(a.as_u64().expect("arc index") as usize))
+        .collect();
+    let witness = mcr_core::Solution { cycle, ..direct };
+    mcr_core::certify(&witness, &g).expect("the daemon's witness certifies");
+}
