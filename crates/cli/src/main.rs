@@ -222,19 +222,18 @@ impl Args {
     }
 }
 
+/// Streams the graph from `path` (or stdin) through the parser, so a
+/// file that is not UTF-8 fails like any other bad input: with a typed
+/// parse error naming the line.
 fn load_graph(path: Option<&str>) -> Result<Graph, String> {
-    let mut text = String::new();
-    match path {
-        None | Some("-") => {
-            std::io::stdin()
-                .read_to_string(&mut text)
-                .map_err(|e| format!("reading stdin: {e}"))?;
-        }
+    let parsed = match path {
+        None | Some("-") => read_dimacs(&mut std::io::stdin().lock()),
         Some(p) => {
-            text = std::fs::read_to_string(p).map_err(|e| format!("reading {p}: {e}"))?;
+            let file = std::fs::File::open(p).map_err(|e| format!("reading {p}: {e}"))?;
+            read_dimacs(&mut std::io::BufReader::new(file))
         }
-    }
-    read_dimacs(&mut text.as_bytes()).map_err(|e| format!("parse error: {e}"))
+    };
+    parsed.map_err(|e| format!("parse error: {e}"))
 }
 
 /// `--threads N` / `--budget SPEC` / `--fallback CHAIN` →

@@ -25,6 +25,13 @@ const VALID_SEEDS: &[&[u8]] = &[
     b"p mcr 3 3\na 1 2 5\na 2 3 -1\na 3 1 2\n",
     b"c comment\np mcr 2 2\na 1 2 5 3\na 2 1 -4 1\n",
     b"p mcr 1 1\na 1 1 7\n",
+    // The byte tokenizer's accepting paths: CRLF endings, the other
+    // ASCII separators, `+`-signed fields, and a Unicode separator
+    // (U+00A0) that sends its line down the UTF-8 path.
+    b"p mcr 2 2\r\na 1 2 5\r\na 2 1 -3 2\r\n",
+    b"p\tmcr\t2\t2\na\x0B1\x0B2\x0B4\na\x0C2\x0C1\t-1\x0C3\n",
+    b"p mcr +2 +2\na +1 +2 +5\na +2 +1 -0 +1\n",
+    "p mcr 2 2\na\u{A0}1 2 5\na 2 1 3\n".as_bytes(),
 ];
 
 struct Lcg(u64);
@@ -192,5 +199,18 @@ fn eprint_on_panic(label: &str, f: impl FnOnce() + std::panic::UnwindSafe) {
     if let Err(payload) = std::panic::catch_unwind(f) {
         eprintln!("fuzz-smoke: FAILURE at {label}");
         std::panic::resume_unwind(payload);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::VALID_SEEDS;
+
+    #[test]
+    fn valid_seeds_parse() {
+        for seed in VALID_SEEDS {
+            let parsed = mcr_graph::io::read_dimacs(&mut &seed[..]);
+            assert!(parsed.is_ok(), "{:?}: {parsed:?}", String::from_utf8_lossy(seed));
+        }
     }
 }

@@ -421,8 +421,9 @@ impl GraphBuilder {
         Self::default()
     }
 
-    /// Creates an empty builder with preallocated capacity.
-    pub fn with_capacity(nodes: usize, arcs: usize) -> Self {
+    /// Creates an empty builder with room for `arcs` arcs. Nodes are
+    /// only counted, not stored, so the node count needs no room.
+    pub fn with_capacity(_nodes: usize, arcs: usize) -> Self {
         GraphBuilder {
             num_nodes: 0,
             sources: Vec::with_capacity(arcs),
@@ -430,11 +431,6 @@ impl GraphBuilder {
             weights: Vec::with_capacity(arcs),
             transits: Vec::with_capacity(arcs),
         }
-        .reserving(nodes)
-    }
-
-    fn reserving(self, _nodes: usize) -> Self {
-        self
     }
 
     /// Number of nodes added so far.

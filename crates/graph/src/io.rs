@@ -12,7 +12,16 @@
 //! ```
 //!
 //! Nodes are 1-based in the file (DIMACS convention) and 0-based in
-//! memory.
+//! memory. Fields are separated by runs of whitespace in the sense of
+//! `char::is_whitespace`; a line whose first field starts with `c` is
+//! a comment.
+//!
+//! The reader works on bytes: each line is read into one reused buffer,
+//! an ASCII line is split on the six ASCII whitespace bytes, and its
+//! integer fields are parsed straight from the bytes into the
+//! [`GraphBuilder`]. A line holding any other byte is validated as
+//! UTF-8 and split with `str::split_whitespace` instead, so Unicode
+//! whitespace separates fields too.
 
 // Parsing/validation surfaces must stay panic-free whatever the
 // input; CI runs clippy with -D warnings, so these lints are a gate.
@@ -125,44 +134,113 @@ impl Error for ParseGraphError {}
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn read_dimacs<R: BufRead>(reader: &mut R) -> Result<Graph, ParseGraphError> {
-    let mut builder: Option<GraphBuilder> = None;
-    let mut num_nodes = 0usize;
-    for (lineno, line) in reader.lines().enumerate() {
-        let lineno = lineno + 1;
-        let line = line.map_err(|e| {
-            ParseGraphError::new(lineno, ParseErrorKind::Io, format!("io error: {e}"))
-        })?;
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('c') {
-            continue;
+    let mut parser = LineParser::default();
+    // One buffer, reused for every line: the reader never holds more
+    // than the longest line, and parsing allocates nothing per line.
+    let mut line = Vec::new();
+    let mut lineno = 0;
+    loop {
+        lineno += 1;
+        line.clear();
+        match reader.read_until(b'\n', &mut line) {
+            Ok(0) => break,
+            Ok(_) => {}
+            Err(e) => {
+                return Err(ParseGraphError::new(
+                    lineno,
+                    ParseErrorKind::Io,
+                    format!("io error: {e}"),
+                ))
+            }
+        }
+        if line.is_ascii() {
+            let fields = line.split(|&b| is_separator(b)).filter(|f| !f.is_empty());
+            parser.line(lineno, fields)?;
+        } else {
+            // Rare path: validate the line, then split on Unicode
+            // whitespace, so U+00A0 and friends separate fields as the
+            // ASCII separators do.
+            let text = std::str::from_utf8(&line).map_err(|_| {
+                ParseGraphError::new(
+                    lineno,
+                    ParseErrorKind::Io,
+                    "io error: stream did not contain valid UTF-8",
+                )
+            })?;
+            parser.line(lineno, text.split_whitespace().map(str::as_bytes))?;
+        }
+    }
+    let builder = parser.builder.ok_or_else(|| {
+        ParseGraphError::new(
+            0,
+            ParseErrorKind::MissingHeader,
+            "missing problem line `p mcr ...`",
+        )
+    })?;
+    Ok(builder.build())
+}
+
+/// The field separators: exactly the ASCII members of
+/// `char::is_whitespace` (`u8::is_ascii_whitespace` leaves out `\x0B`).
+#[inline]
+fn is_separator(b: u8) -> bool {
+    matches!(b, b' ' | b'\t' | b'\n' | b'\x0B' | b'\x0C' | b'\r')
+}
+
+/// Fields kept per line: one more than the longest valid line (`a`
+/// with a transit), so any longer line still fails every shape match.
+const MAX_FIELDS: usize = 6;
+
+/// Parser state carried from line to line.
+#[derive(Default)]
+struct LineParser {
+    builder: Option<GraphBuilder>,
+    num_nodes: usize,
+}
+
+impl LineParser {
+    /// Handles one line, given as its whitespace-separated fields.
+    fn line<'a>(
+        &mut self,
+        lineno: usize,
+        fields: impl Iterator<Item = &'a [u8]>,
+    ) -> Result<(), ParseGraphError> {
+        let mut slots: [&[u8]; MAX_FIELDS] = [&[]; MAX_FIELDS];
+        let mut len = 0;
+        for (slot, field) in slots.iter_mut().zip(fields) {
+            *slot = field;
+            len += 1;
         }
         // Slice patterns keep the parser free of `fields[i]` indexing:
         // every shape mismatch lands in a typed-error arm instead of a
         // potential bounds panic (lint rule MCRL005).
-        let fields: Vec<&str> = line.split_whitespace().collect();
+        let fields = slots.get(..len).unwrap_or_default();
         let Some((&kind, rest)) = fields.split_first() else {
-            continue; // whitespace-only line
+            return Ok(()); // blank or whitespace-only line
         };
+        if kind.first() == Some(&b'c') {
+            return Ok(()); // comment
+        }
         match kind {
-            "p" => {
-                if builder.is_some() {
+            b"p" => {
+                if self.builder.is_some() {
                     return Err(ParseGraphError::new(
                         lineno,
                         ParseErrorKind::DuplicateHeader,
                         "duplicate problem line: the graph was already declared",
                     ));
                 }
-                let ["mcr", nodes_field, arcs_field] = rest else {
+                let [b"mcr", nodes_field, arcs_field] = rest else {
                     return Err(ParseGraphError::new(
                         lineno,
                         ParseErrorKind::TruncatedHeader,
                         "expected problem line `p mcr <nodes> <arcs>`",
                     ));
                 };
-                num_nodes = nodes_field.parse().map_err(|_| {
+                let num_nodes = parse_usize(nodes_field).ok_or_else(|| {
                     ParseGraphError::new(lineno, ParseErrorKind::NonNumericField, "invalid node count")
                 })?;
-                let declared_arcs: usize = arcs_field.parse().map_err(|_| {
+                let declared_arcs = parse_usize(arcs_field).ok_or_else(|| {
                     ParseGraphError::new(lineno, ParseErrorKind::NonNumericField, "invalid arc count")
                 })?;
                 // Node and arc ids are u32 internally, so larger
@@ -184,9 +262,10 @@ pub fn read_dimacs<R: BufRead>(reader: &mut R) -> Result<Graph, ParseGraphError>
                 let mut b =
                     GraphBuilder::with_capacity(num_nodes, declared_arcs.min(MAX_ARC_PREALLOC));
                 b.add_nodes(num_nodes);
-                builder = Some(b);
+                self.num_nodes = num_nodes;
+                self.builder = Some(b);
             }
-            "a" => {
+            b"a" => {
                 if crate::chaos::fail_hit("graph.io.read_dimacs.arc") {
                     return Err(ParseGraphError::new(
                         lineno,
@@ -194,7 +273,8 @@ pub fn read_dimacs<R: BufRead>(reader: &mut R) -> Result<Graph, ParseGraphError>
                         "injected chaos fault while reading arc line",
                     ));
                 }
-                let b = builder.as_mut().ok_or_else(|| {
+                let num_nodes = self.num_nodes;
+                let b = self.builder.as_mut().ok_or_else(|| {
                     ParseGraphError::new(
                         lineno,
                         ParseErrorKind::MissingHeader,
@@ -212,17 +292,17 @@ pub fn read_dimacs<R: BufRead>(reader: &mut R) -> Result<Graph, ParseGraphError>
                         ));
                     }
                 };
-                let src: usize = src_field.parse().map_err(|_| {
+                let src = parse_usize(src_field).ok_or_else(|| {
                     ParseGraphError::new(lineno, ParseErrorKind::NonNumericField, "invalid source")
                 })?;
-                let dst: usize = dst_field.parse().map_err(|_| {
+                let dst = parse_usize(dst_field).ok_or_else(|| {
                     ParseGraphError::new(lineno, ParseErrorKind::NonNumericField, "invalid target")
                 })?;
-                let weight: i64 = weight_field.parse().map_err(|_| {
+                let weight = parse_i64(weight_field).ok_or_else(|| {
                     ParseGraphError::new(lineno, ParseErrorKind::NonNumericField, "invalid weight")
                 })?;
-                let transit: i64 = match transit_field {
-                    Some(t) => t.parse().map_err(|_| {
+                let transit = match transit_field {
+                    Some(t) => parse_i64(t).ok_or_else(|| {
                         ParseGraphError::new(
                             lineno,
                             ParseErrorKind::NonNumericField,
@@ -263,19 +343,51 @@ pub fn read_dimacs<R: BufRead>(reader: &mut R) -> Result<Graph, ParseGraphError>
                 return Err(ParseGraphError::new(
                     lineno,
                     ParseErrorKind::UnknownLineType,
-                    format!("unknown line type `{other}`"),
+                    format!("unknown line type `{}`", String::from_utf8_lossy(other)),
                 ));
             }
         }
+        Ok(())
     }
-    let builder = builder.ok_or_else(|| {
-        ParseGraphError::new(
-            0,
-            ParseErrorKind::MissingHeader,
-            "missing problem line `p mcr ...`",
-        )
-    })?;
-    Ok(builder.build())
+}
+
+/// Parses an unsigned decimal field the way `usize::from_str` does: an
+/// optional `+`, then one or more digits, failing on overflow.
+fn parse_usize(field: &[u8]) -> Option<usize> {
+    let digits = field.strip_prefix(b"+").unwrap_or(field);
+    usize::try_from(parse_digits(digits)?).ok()
+}
+
+/// Parses a signed decimal field the way `i64::from_str` does: an
+/// optional `+` or `-`, then one or more digits, failing on overflow
+/// (`i64::MIN` itself parses).
+fn parse_i64(field: &[u8]) -> Option<i64> {
+    match field {
+        [b'-', digits @ ..] => 0i64.checked_sub_unsigned(parse_digits(digits)?),
+        [b'+', digits @ ..] => i64::try_from(parse_digits(digits)?).ok(),
+        digits => i64::try_from(parse_digits(digits)?).ok(),
+    }
+}
+
+/// The value of a nonempty run of ASCII digits, or `None` for any other
+/// byte, an empty run, or a value past `u64::MAX`.
+fn parse_digits(digits: &[u8]) -> Option<u64> {
+    // Up to 19 digits cannot overflow a u64; longer runs (leading
+    // zeros, or a genuine overflow) take the checked path.
+    const UNCHECKED_DIGITS: usize = 19;
+    if digits.is_empty() {
+        return None;
+    }
+    digits.iter().try_fold(0u64, |n, &b| {
+        let d = u64::from(b.wrapping_sub(b'0'));
+        if d > 9 {
+            None
+        } else if digits.len() <= UNCHECKED_DIGITS {
+            Some(n * 10 + d)
+        } else {
+            n.checked_mul(10)?.checked_add(d)
+        }
+    })
 }
 
 /// Writes `g` in the DIMACS-style format accepted by [`read_dimacs`].

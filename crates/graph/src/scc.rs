@@ -205,20 +205,18 @@ impl SubgraphExtractor {
         for (i, &v) in nodes.iter().enumerate() {
             self.local_of[v.index()] = idx32(i);
         }
-        let mut b = GraphBuilder::with_capacity(nodes.len(), nodes.len() * 2);
+        // The out-degree sum bounds the kept arcs, so neither the
+        // builder nor the arc map reallocates.
+        let max_arcs = nodes.iter().map(|&v| g.out_degree(v)).sum();
+        let mut b = GraphBuilder::with_capacity(nodes.len(), max_arcs);
         b.add_nodes(nodes.len());
-        let mut arc_map = Vec::new();
+        let mut arc_map = Vec::with_capacity(max_arcs);
         for &v in nodes {
-            for &a in g.out_arcs(v) {
-                let t = g.target(a);
+            let lv = NodeId::new(self.local_of[v.index()] as usize);
+            for (a, t, w, tr) in g.out_adj(v) {
                 let lt = self.local_of[t.index()];
                 if lt != u32::MAX {
-                    b.add_arc_with_transit(
-                        NodeId::new(self.local_of[v.index()] as usize),
-                        NodeId::new(lt as usize),
-                        g.weight(a),
-                        g.transit(a),
-                    );
+                    b.add_arc_with_transit(lv, NodeId::new(lt as usize), w, tr);
                     arc_map.push(a);
                 }
             }
@@ -410,6 +408,56 @@ mod tests {
         let (sub, arcs) = ex.extract(&big, &[NodeId::new(8), NodeId::new(9)]);
         assert_eq!(sub.num_nodes(), 2);
         assert_eq!(arcs.len(), 2);
+    }
+
+    #[test]
+    fn extraction_matches_arc_id_lookups() {
+        // Reference: the extraction written against arc-id lookups
+        // (`g.target(a)`, `g.weight(a)`, `g.transit(a)`). The extractor
+        // reads the aligned adjacency copies instead and must give the
+        // same subgraph, arc for arc, and the same arc map.
+        type Arcs = Vec<(usize, usize, i64, i64)>;
+        fn reference(g: &Graph, nodes: &[NodeId]) -> (Arcs, Vec<ArcId>) {
+            let local = |v: NodeId| nodes.iter().position(|&u| u == v);
+            let mut arcs = Vec::new();
+            let mut arc_map = Vec::new();
+            for (i, &v) in nodes.iter().enumerate() {
+                for &a in g.out_arcs(v) {
+                    if let Some(j) = local(g.target(a)) {
+                        arcs.push((i, j, g.weight(a), g.transit(a)));
+                        arc_map.push(a);
+                    }
+                }
+            }
+            (arcs, arc_map)
+        }
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        for n in [1u64, 5, 12, 40] {
+            let mut b = GraphBuilder::new();
+            let v = b.add_nodes(n as usize);
+            for _ in 0..3 * n {
+                let (s, t) = (next(n) as usize, next(n) as usize);
+                b.add_arc_with_transit(v[s], v[t], next(200) as i64 - 100, next(4) as i64);
+            }
+            let g = b.build();
+            let scc = SccDecomposition::new(&g);
+            let mut ex = SubgraphExtractor::new(g.num_nodes());
+            for c in 0..scc.num_components() {
+                let (sub, arc_map) = ex.extract(&g, scc.component(c));
+                let arcs: Vec<_> = sub
+                    .arc_ids()
+                    .map(|a| (sub.source(a).index(), sub.target(a).index(), sub.weight(a), sub.transit(a)))
+                    .collect();
+                assert_eq!((arcs, arc_map), reference(&g, scc.component(c)), "n={n} c={c}");
+                assert_eq!(sub.num_nodes(), scc.component(c).len());
+            }
+        }
     }
 
     #[test]

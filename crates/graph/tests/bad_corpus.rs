@@ -52,6 +52,49 @@ fn duplicate_header_is_detected() {
 }
 
 #[test]
+fn missing_header_is_detected() {
+    let err = parse("missing_header.dimacs");
+    assert_eq!(err.kind(), ParseErrorKind::MissingHeader);
+    assert_eq!(err.line(), 2);
+}
+
+#[test]
+fn malformed_arc_is_detected() {
+    let err = parse("malformed_arc.dimacs");
+    assert_eq!(err.kind(), ParseErrorKind::MalformedArc);
+    assert_eq!(err.line(), 4);
+}
+
+#[test]
+fn unknown_line_type_is_detected() {
+    let err = parse("unknown_line_type.dimacs");
+    assert_eq!(err.kind(), ParseErrorKind::UnknownLineType);
+    assert_eq!(err.line(), 3);
+    assert!(err.message().contains("`e`"), "{err}");
+}
+
+#[test]
+fn negative_transit_is_detected() {
+    let err = parse("negative_transit.dimacs");
+    assert_eq!(err.kind(), ParseErrorKind::NegativeTransit);
+    assert_eq!(err.line(), 4);
+}
+
+#[test]
+fn header_count_overflow_is_detected() {
+    let err = parse("header_count_overflow.dimacs");
+    assert_eq!(err.kind(), ParseErrorKind::HeaderCountOverflow);
+    assert_eq!(err.line(), 2);
+}
+
+#[test]
+fn invalid_utf8_is_detected_on_its_line() {
+    let err = parse("invalid_utf8.dimacs");
+    assert_eq!(err.kind(), ParseErrorKind::Io);
+    assert_eq!(err.line(), 4);
+}
+
+#[test]
 fn every_corpus_file_fails_without_panicking() {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/data/bad");
     let mut seen = 0;
@@ -68,7 +111,7 @@ fn every_corpus_file_fails_without_panicking() {
         let _ = err.kind();
         assert!(err.to_string().contains("line"), "{err}");
     }
-    assert!(seen >= 4, "expected the four seeded corpus files, saw {seen}");
+    assert!(seen >= 10, "expected the ten seeded corpus files, saw {seen}");
 }
 
 #[test]

@@ -462,8 +462,10 @@ pub fn check_no_indexing(file: &str, s: &Scanned, out: &mut Vec<Diagnostic>) {
             continue;
         }
         let prev = &toks[i - 1];
+        // A lifetime name (`&'a [u8]`) is a type position, not a receiver.
+        let after_lifetime = i >= 2 && toks[i - 2].text == "'";
         let is_receiver = match prev.kind {
-            TokKind::Ident => !NON_RECEIVER_KW.contains(&prev.text.as_str()),
+            TokKind::Ident => !NON_RECEIVER_KW.contains(&prev.text.as_str()) && !after_lifetime,
             TokKind::Punct => matches!(prev.text.as_str(), ")" | "]" | "?"),
             _ => false,
         };
@@ -761,6 +763,8 @@ mod tests {
         assert_eq!(d.len(), 1);
         // Macros, attributes, types, and array literals are not indexing.
         let src = "#[derive(Debug)]\nfn f(a: &[u8]) { let v = vec![0; 4]; let w = [1, 2]; }";
+        assert!(run(src, check_no_indexing).is_empty());
+        let src = "fn f<'a>(a: impl Iterator<Item = &'a [u8]>) -> &'static [u8] { b\"\" }";
         assert!(run(src, check_no_indexing).is_empty());
     }
 

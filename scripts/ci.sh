@@ -10,7 +10,8 @@
 # of the per-SCC driver, a kill -9
 # crash-recovery drill of the mcrd solve daemon, and a two-shard fleet
 # drill that SIGKILLs one shard mid-replay and proves every request
-# still settles exactly once with zero duplicate solves.
+# still settles exactly once with zero duplicate solves, and the
+# benchmark's smoke test.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -241,6 +242,12 @@ echo "=== fuzz smoke (bounded deterministic run) ==="
 # replays the bad-input corpus, then 10000 LCG-mutated derivatives,
 # through the same mcr-fuzz entry points the libfuzzer targets call.
 cargo run -q -p mcr-fuzz --bin fuzz-smoke --release -- -runs=10000
+
+echo "=== benchmark smoke (every workload at smoke size, two seeds) ==="
+# The benchmark's own test: each workload untraced and traced on the
+# default and the held-out seed, every output check on (oneshot checks
+# each lambda against YTO).
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "=== serve drill: mcrd kill -9 crash recovery + golden replay ==="
 # The daemon's durability contract, driven with a real SIGKILL: a
