@@ -5,7 +5,8 @@
 //! `cargo bench -p mcr-bench --bench algorithms`
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mcr_core::{ratio, Algorithm};
+use mcr_core::spec::solve_spec;
+use mcr_core::{Algorithm, FallbackChain, SolveOptions, SolveSpec};
 use mcr_gen::sprand::{sprand, SprandConfig};
 use mcr_gen::transit::with_random_transits;
 use std::hint::black_box;
@@ -66,18 +67,18 @@ fn bench_ratio(c: &mut Criterion) {
     group.sample_size(10);
     let g0 = sprand(&SprandConfig::new(512, 1536).seed(0));
     let g = with_random_transits(&g0, 1, 10, 1);
-    group.bench_function("howard", |b| {
-        b.iter(|| black_box(ratio::howard_ratio_exact(black_box(&g))))
-    });
-    group.bench_function("burns", |b| {
-        b.iter(|| black_box(ratio::burns_ratio(black_box(&g))))
-    });
-    group.bench_function("yto", |b| {
-        b.iter(|| black_box(ratio::parametric_ratio(black_box(&g), true)))
-    });
-    group.bench_function("lawler_exact", |b| {
-        b.iter(|| black_box(ratio::lawler_ratio_exact(black_box(&g))))
-    });
+    let opts = SolveOptions::new().fallback(FallbackChain::NONE);
+    for (name, alg) in [
+        ("howard", Algorithm::HowardExact),
+        ("burns", Algorithm::BurnsExact),
+        ("yto", Algorithm::Yto),
+        ("lawler_exact", Algorithm::LawlerExact),
+    ] {
+        let spec = SolveSpec::ratio(alg);
+        group.bench_function(name, |b| {
+            b.iter(|| black_box(solve_spec(black_box(&g), &spec, &opts)))
+        });
+    }
     group.finish();
 }
 

@@ -11,14 +11,20 @@
 //! `cargo run -p mcr-bench --release --bin ratio_compare [--full]`
 
 use mcr_bench::{fmt_ms, print_table, HarnessConfig};
-use mcr_core::{ratio, Algorithm, Solution};
+use mcr_core::spec::solve_spec;
+use mcr_core::{Algorithm, FallbackChain, Solution, SolveOptions, SolveSpec};
 use mcr_gen::transit::with_random_transits;
 use mcr_graph::Graph;
 use std::time::{Duration, Instant};
 
-fn timed(f: impl FnOnce() -> Option<Solution>) -> (Duration, Solution) {
+/// One ratio solve with no fallback, so each column times its own
+/// kernel.
+fn timed(g: &Graph, alg: Algorithm) -> (Duration, Solution) {
+    let opts = SolveOptions::new().fallback(FallbackChain::NONE);
     let start = Instant::now();
-    let sol = f().expect("cyclic");
+    let sol = solve_spec(g, &SolveSpec::ratio(alg), &opts)
+        .expect("solves")
+        .expect("cyclic");
     (start.elapsed(), sol)
 }
 
@@ -28,16 +34,14 @@ fn main() {
     // component; cap the sweep at n = 2048 so the full run stays in
     // minutes (the agreement result is size-independent).
     cfg.grid.retain(|&(n, _)| n <= 2048);
-    #[allow(clippy::type_complexity)]
-    let solvers: Vec<(&str, fn(&Graph) -> Option<Solution>)> = vec![
-        ("Howard", |g| ratio::howard_ratio_exact(g)),
-        ("Burns", |g| ratio::burns_ratio(g)),
-        ("KO", |g| ratio::parametric_ratio(g, false)),
-        ("YTO", |g| ratio::parametric_ratio(g, true)),
-        ("Lawler-exact", |g| ratio::lawler_ratio_exact(g)),
-        ("expand+Karp2", |g| {
-            ratio::ratio_via_expansion(g, Algorithm::Karp2).expect("positive transits")
-        }),
+    // Karp2 has no ratio kernel, so its spec runs transit expansion.
+    let solvers = [
+        ("Howard", Algorithm::HowardExact),
+        ("Burns", Algorithm::BurnsExact),
+        ("KO", Algorithm::Ko),
+        ("YTO", Algorithm::Yto),
+        ("Lawler-exact", Algorithm::LawlerExact),
+        ("expand+Karp2", Algorithm::Karp2),
     ];
 
     let mut header: Vec<String> = vec!["n".into(), "m".into(), "T".into(), "rho*".into()];
@@ -55,8 +59,8 @@ fn main() {
             let g = with_random_transits(&g0, 1, 10, seed ^ 0x5eed);
             total_t += g.arc_ids().map(|a| g.transit(a)).sum::<i64>();
             let mut expected = None;
-            for (i, (name, solver)) in solvers.iter().enumerate() {
-                let (t, sol) = timed(|| solver(&g));
+            for (i, &(name, alg)) in solvers.iter().enumerate() {
+                let (t, sol) = timed(&g, alg);
                 times[i] += t;
                 match expected {
                     None => {

@@ -9,6 +9,12 @@ fn mcr() -> Command {
 }
 
 fn run_with_stdin(args: &[&str], stdin: &str) -> (String, String, bool) {
+    let (stdout, stderr, code) = run_with_stdin_code(args, stdin);
+    (stdout, stderr, code == Some(0))
+}
+
+/// [`run_with_stdin`] reporting the exit code itself.
+fn run_with_stdin_code(args: &[&str], stdin: &str) -> (String, String, Option<i32>) {
     let mut child = mcr()
         .args(args)
         .stdin(Stdio::piped())
@@ -26,7 +32,7 @@ fn run_with_stdin(args: &[&str], stdin: &str) -> (String, String, bool) {
     (
         String::from_utf8_lossy(&out.stdout).into_owned(),
         String::from_utf8_lossy(&out.stderr).into_owned(),
-        out.status.success(),
+        out.status.code(),
     )
 }
 
@@ -79,6 +85,38 @@ fn solve_ratio_uses_transit_times() {
     let (stdout, _, ok) = run_with_stdin(&["solve", "--ratio"], input);
     assert!(ok);
     assert!(stdout.contains("lambda = 5/2"), "{stdout}");
+}
+
+#[test]
+fn ratio_lawler_reports_its_typed_error_instead_of_acyclic() {
+    // Weights of ±2^62 push the ratio bisection past the i64 range.
+    let input = "p mcr 3 4\n\
+                 a 1 2 4611686018427387904 1\n\
+                 a 2 3 -4611686018427387904 3\n\
+                 a 3 1 4611686018427387904 2\n\
+                 a 1 1 4611686018427387904 5\n";
+    let args = ["solve", "--ratio", "--algorithm", "lawler"];
+    let (stdout, stderr, code) = run_with_stdin_code(&args, input);
+    assert_eq!(code, Some(0), "{stderr}");
+    assert!(stdout.contains("lambda = 2305843009213693952/3"), "{stdout}");
+    assert!(stdout.contains("certificate:"), "{stdout}");
+    // Without a fallback the typed error surfaces with its own status.
+    let (stdout, stderr, code) =
+        run_with_stdin_code(&[&args[..], &["--fallback", "none"]].concat(), input);
+    assert_eq!(code, Some(1), "{stdout}{stderr}");
+    assert!(stderr.contains("overflow"), "{stderr}");
+    assert!(!stdout.contains("acyclic"), "{stdout}");
+}
+
+#[test]
+fn ratio_burns_answers_with_its_own_kernel() {
+    let biquad = concat!(env!("CARGO_MANIFEST_DIR"), "/../../benchmarks/biquad.dimacs");
+    let (stdout, stderr, code) =
+        run_with_stdin_code(&["solve", biquad, "--ratio", "--algorithm", "burns"], "");
+    assert_eq!(code, Some(0), "{stderr}");
+    assert!(stdout.contains("minimum cycle ratio via Burns"), "{stdout}");
+    assert!(!stdout.contains("note:"), "Burns answered itself: {stdout}");
+    assert!(stdout.contains("certificate:"), "{stdout}");
 }
 
 #[test]

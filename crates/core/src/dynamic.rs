@@ -20,9 +20,8 @@
 //! 3. fingerprints each component's subgraph (FNV-1a over its arc
 //!    table) and reuses the cached [`SccOutcome`] + per-job
 //!    [`Counters`] on a hit,
-//! 4. solves only the missed components, with the *exact* per-SCC
-//!    closure [`crate::spec::solve_spec`] would have used for the same
-//!    [`SolveSpec`], and
+//! 4. solves only the missed components with the fallback chain
+//!    [`crate::spec::solve_spec`] runs for the same [`SolveSpec`], and
 //! 5. re-enters the driver's reduction ([`reduce_outcomes`]) in job
 //!    order, so tie-breaks, error precedence, witness arc mapping and
 //!    counter totals are bit-identical to a from-scratch solve.
@@ -39,8 +38,8 @@
 //! back to a full [`solve_spec`] run (tracked by the
 //! `dynamic.solve.full` vs `dynamic.solve.incremental` counter pair):
 //!
-//! * ratio specs solved by expansion-based algorithms (Karp family) —
-//!   the expansion graph is derived, so component caching does not
+//! * ratio specs solved by transit expansion (the Karp family and OA1)
+//!   — the expansion graph is derived, so component caching does not
 //!   apply;
 //! * a chaos fault at `core.dynamic.apply` (cache dropped before the
 //!   solve) or `core.dynamic.certify` (incremental answer rejected);
@@ -50,15 +49,14 @@
 //! Every returned solution — incremental or full — is re-validated by
 //! [`certify`] against the current caller-orientation graph.
 
-use crate::algorithms::Algorithm;
-use crate::budget::BudgetScope;
+use crate::algorithms::run_fallback_chain;
+use crate::certify::certify;
 use crate::driver::{extract_jobs, reduce_outcomes, SccOutcome};
 use crate::error::SolveError;
 use crate::instrument::Counters;
 use crate::options::SolveOptions;
 use crate::solution::Solution;
-use crate::spec::{solve_spec, Objective, SolveSpec, SpecError};
-use crate::certify::certify;
+use crate::spec::{flatten_acyclic, solve_spec, Objective, SolveSpec, SpecError};
 use crate::workspace::Workspace;
 use mcr_graph::{Graph, GraphBuilder, NodeId};
 use std::collections::BTreeMap;
@@ -131,40 +129,6 @@ pub struct DynamicOutcome {
     pub cache_hits: usize,
     /// Component jobs solved fresh this batch.
     pub cache_misses: usize,
-}
-
-/// How a spec's per-SCC work is replicated (see [`route_for`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Route {
-    /// `Objective::Mean`: the fallback chain, exactly as
-    /// `Algorithm::solve_with_options` runs it. Errors are typed.
-    Mean,
-    /// Exact ratio entry points (`HowardExact` / `LawlerExact`): typed
-    /// errors, budget/deadline/cancel honored per attempt.
-    RatioStrict(Algorithm),
-    /// The `Option`-returning native ratio solvers: any error folds to
-    /// "no answer" (`Ok(None)`), matching `solve_spec`'s `.ok()` path.
-    RatioNative(Algorithm),
-    /// Ratio via transit expansion (Karp family): no per-SCC path on
-    /// the original graph, always a full solve.
-    Expansion,
-}
-
-fn route_for(spec: &SolveSpec) -> Route {
-    match spec.objective {
-        Objective::Mean => Route::Mean,
-        Objective::Ratio => match spec.algorithm {
-            Algorithm::HowardExact | Algorithm::LawlerExact => Route::RatioStrict(spec.algorithm),
-            Algorithm::Howard
-            | Algorithm::Burns
-            | Algorithm::BurnsExact
-            | Algorithm::Ko
-            | Algorithm::Yto
-            | Algorithm::Lawler
-            | Algorithm::Megiddo => Route::RatioNative(spec.algorithm),
-            _ => Route::Expansion,
-        },
-    }
 }
 
 /// A cached component outcome plus the counters its solve accumulated
@@ -404,9 +368,10 @@ impl DynamicSolver {
         }
         crate::chaos::pulse("core.dynamic.rebuild");
         let g = self.current_graph();
-        let mut outcome = match route_for(&self.spec) {
-            Route::Expansion => self.full_solve(&g)?,
-            route => self.component_solve(&g, route)?,
+        let mut outcome = if self.spec.algorithm.has_scc_kernel(self.spec.objective) {
+            self.component_solve(&g)?
+        } else {
+            self.full_solve(&g)?
         };
         // Certification gate: an incremental answer that does not
         // re-certify (or that a fault at the certify site rejects) is
@@ -450,7 +415,7 @@ impl DynamicSolver {
     /// The incremental path: fingerprint the components of the edited
     /// graph, reuse cached outcomes, solve only the misses, and reduce
     /// exactly as the driver would.
-    fn component_solve(&mut self, g: &Graph, route: Route) -> Result<DynamicOutcome, SpecError> {
+    fn component_solve(&mut self, g: &Graph) -> Result<DynamicOutcome, SpecError> {
         let negated;
         let target: &Graph = if self.spec.maximize {
             negated = g.negated();
@@ -460,12 +425,9 @@ impl DynamicSolver {
         };
         // Mirror solve_spec's up-front validation order: epsilon
         // first, then the ratio zero-transit-cycle guard.
-        let epsilon = match self.opts.epsilon {
-            Some(e) if e > 0.0 && e.is_finite() => e,
-            Some(e) => return Err(SolveError::InvalidEpsilon { epsilon: e }.into()),
-            None => Algorithm::default_epsilon(target),
-        };
-        if self.spec.objective == Objective::Ratio && crate::ratio::has_zero_transit_cycle(target) {
+        let epsilon = self.opts.effective_epsilon(target)?;
+        let objective = self.spec.objective;
+        if objective == Objective::Ratio && crate::ratio::has_zero_transit_cycle(target) {
             return Err(SolveError::ZeroTransitCycle.into());
         }
         let jobs = extract_jobs(target);
@@ -483,12 +445,9 @@ impl DynamicSolver {
         // the fingerprint when irrelevant would needlessly invalidate
         // the cache whenever `default_epsilon` shifts with the global
         // weight range.
-        let epsilon_matters = match route {
-            Route::Mean => chain.iter().any(|a| a.is_approximate()),
-            Route::RatioNative(alg) => matches!(alg, Algorithm::Howard | Algorithm::Lawler),
-            Route::RatioStrict(_) => false,
-            Route::Expansion => false,
-        };
+        let epsilon_matters = chain
+            .iter()
+            .any(|a| a.is_approximate() && a.has_scc_kernel(objective));
 
         let mut ws = Workspace::new();
         let mut results: Vec<Result<SccOutcome, SolveError>> = Vec::with_capacity(jobs.len());
@@ -509,8 +468,17 @@ impl DynamicSolver {
             }
             misses += 1;
             let mut job_counters = Counters::new();
-            let result =
-                self.solve_job(route, i, &job.sub, &mut job_counters, &mut ws, epsilon, &chain, deadline);
+            let result = run_fallback_chain(
+                i,
+                objective,
+                &chain,
+                &job.sub,
+                &mut job_counters,
+                epsilon,
+                &mut ws,
+                &self.opts,
+                deadline,
+            );
             counters.merge(&job_counters);
             if let Ok(out) = &result {
                 self.cache.insert(
@@ -527,17 +495,7 @@ impl DynamicSolver {
             results.push(result);
         }
 
-        let reduced = reduce_outcomes(&jobs, &results, counters);
-        let solution = match route {
-            // The native ratio entry points fold *any* failure into
-            // "no answer" (`solve_per_scc(..).ok()`); replicate that.
-            Route::RatioNative(_) => reduced.ok(),
-            _ => match reduced {
-                Ok(sol) => Some(sol),
-                Err(SolveError::Acyclic) => None,
-                Err(e) => return Err(e.into()),
-            },
-        };
+        let solution = flatten_acyclic(reduce_outcomes(&jobs, &results, counters))?;
         let solution = solution.map(|mut sol| {
             if self.spec.maximize {
                 sol.lambda = -sol.lambda;
@@ -555,77 +513,6 @@ impl DynamicSolver {
             cache_hits: hits,
             cache_misses: misses,
         })
-    }
-
-    /// Solves one missed component with the same per-SCC closure a
-    /// from-scratch [`solve_spec`] run would apply to it.
-    #[allow(clippy::too_many_arguments)]
-    fn solve_job(
-        &self,
-        route: Route,
-        job: usize,
-        sub: &Graph,
-        counters: &mut Counters,
-        ws: &mut Workspace,
-        epsilon: f64,
-        chain: &[Algorithm],
-        deadline: Option<crate::budget::Deadline>,
-    ) -> Result<SccOutcome, SolveError> {
-        let opts = &self.opts;
-        match route {
-            Route::Mean => crate::algorithms::run_fallback_chain(
-                job, chain, sub, counters, epsilon, ws, opts, deadline,
-            ),
-            Route::RatioStrict(Algorithm::HowardExact) => {
-                let mut scope = BudgetScope::new(&opts.budget, deadline, Algorithm::HowardExact)
-                    .with_cancel(opts.cancel.clone());
-                crate::algorithms::howard::solve_scc_exact(sub, counters, ws, &mut scope)
-            }
-            Route::RatioStrict(_) => {
-                let mut scope = BudgetScope::new(&opts.budget, deadline, Algorithm::LawlerExact)
-                    .with_cancel(opts.cancel.clone());
-                crate::ratio::ratio_bisection(sub, counters, None, ws, &mut scope)
-            }
-            Route::RatioNative(Algorithm::Howard) => {
-                let mut scope = BudgetScope::unlimited(Algorithm::Howard);
-                crate::algorithms::howard::solve_scc_fig1(sub, counters, epsilon, ws, &mut scope)
-            }
-            Route::RatioNative(Algorithm::Burns | Algorithm::BurnsExact) => {
-                let mut scope = BudgetScope::unlimited(Algorithm::BurnsExact);
-                crate::algorithms::burns::solve_scc(sub, counters, &mut scope)
-            }
-            Route::RatioNative(Algorithm::Ko) => {
-                let mut scope = BudgetScope::unlimited(Algorithm::Ko);
-                crate::algorithms::parametric::solve_scc(
-                    sub,
-                    counters,
-                    crate::algorithms::parametric::HeapGranularity::PerArc,
-                    &mut scope,
-                )
-            }
-            Route::RatioNative(Algorithm::Yto) => {
-                let mut scope = BudgetScope::unlimited(Algorithm::Yto);
-                crate::algorithms::parametric::solve_scc(
-                    sub,
-                    counters,
-                    crate::algorithms::parametric::HeapGranularity::PerNode,
-                    &mut scope,
-                )
-            }
-            Route::RatioNative(Algorithm::Lawler) => {
-                let mut scope = BudgetScope::unlimited(Algorithm::Lawler);
-                crate::ratio::ratio_bisection(sub, counters, Some(epsilon), ws, &mut scope)
-            }
-            Route::RatioNative(Algorithm::Megiddo) => {
-                let mut scope = BudgetScope::unlimited(Algorithm::Megiddo);
-                crate::algorithms::megiddo::solve_scc(sub, counters, ws, &mut scope)
-            }
-            // Unreachable: route_for sends every other spec to
-            // Route::Expansion, which never calls solve_job.
-            Route::RatioNative(_) | Route::Expansion => Err(SolveError::NumericRange {
-                context: "dynamic solver routed a non-per-SCC spec to the component path",
-            }),
-        }
     }
 
     fn evict_stale(&mut self) {
@@ -726,6 +613,7 @@ fn fingerprint(sub: &Graph, epsilon: Option<f64>) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithms::Algorithm;
     use mcr_graph::graph::from_arc_list;
 
     fn mean_spec() -> SolveSpec {

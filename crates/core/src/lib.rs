@@ -88,6 +88,7 @@ pub use dynamic::{ArcSpec, DynamicOutcome, DynamicSolver, Edit, SolveMode};
 pub use edits::{parse_edit_script, render_edit_script, EditScript, EDITS_SCHEMA};
 pub use error::{BudgetResource, SolveError};
 pub use instrument::Counters;
+pub use maximum::{maximum_cycle_mean, maximum_cycle_ratio};
 pub use options::{FallbackChain, SolveOptions};
 pub use rational::Ratio64;
 pub use solution::{Guarantee, Solution};
@@ -119,20 +120,11 @@ pub fn minimum_cycle_mean_opts(g: &Graph, opts: &SolveOptions) -> Result<Solutio
     Algorithm::HowardExact.solve_with_options(g, opts)
 }
 
-/// Computes the minimum cost-to-time ratio of `g`, or `None` if `g` is
-/// acyclic. See [`ratio`] for algorithm choices and preconditions
+/// Computes the minimum cost-to-time ratio of `g` (exact, Howard), or
+/// `None` if `g` is acyclic or a zero-transit cycle makes the ratio
+/// undefined. See [`ratio`] for algorithm choices and preconditions
 /// (every cycle must have positive total transit time).
 pub fn minimum_cycle_ratio(g: &Graph) -> Option<Solution> {
-    ratio::howard_ratio_exact(g)
-}
-
-/// Computes the maximum cycle mean of `g`, or `None` if `g` is acyclic.
-pub fn maximum_cycle_mean(g: &Graph) -> Option<Solution> {
-    maximum::maximum_cycle_mean(g)
-}
-
-/// Computes the maximum cost-to-time ratio of `g`, or `None` if `g` is
-/// acyclic.
-pub fn maximum_cycle_ratio(g: &Graph) -> Option<Solution> {
-    maximum::maximum_cycle_ratio(g)
+    let spec = SolveSpec::ratio(Algorithm::HowardExact);
+    spec::solve_spec(g, &spec, &SolveOptions::default()).ok().flatten()
 }

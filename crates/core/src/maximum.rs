@@ -7,13 +7,10 @@
 //! of a dataflow graph are *maximum* ratios.
 
 use crate::algorithms::Algorithm;
+use crate::options::SolveOptions;
 use crate::solution::Solution;
+use crate::spec::{solve_spec, SolveSpec};
 use mcr_graph::Graph;
-
-fn negate_solution(mut sol: Solution) -> Solution {
-    sol.lambda = -sol.lambda;
-    sol
-}
 
 /// Maximum cycle mean of `g` (exact, Howard), or `None` if acyclic.
 ///
@@ -24,32 +21,15 @@ fn negate_solution(mut sol: Solution) -> Solution {
 /// assert_eq!(sol.lambda, mcr_core::Ratio64::from(9));
 /// ```
 pub fn maximum_cycle_mean(g: &Graph) -> Option<Solution> {
-    maximum_cycle_mean_with(g, Algorithm::HowardExact)
-}
-
-/// Maximum cycle mean with a chosen algorithm.
-pub fn maximum_cycle_mean_with(g: &Graph, algorithm: Algorithm) -> Option<Solution> {
-    algorithm.solve(&g.negated()).map(negate_solution)
-}
-
-/// [`maximum_cycle_mean_with`] with explicit [`crate::SolveOptions`]
-/// (thread count for the per-SCC driver, precision for approximate
-/// algorithms, budget and fallback chain). Errors mirror
-/// [`Algorithm::solve_with_options`].
-pub fn maximum_cycle_mean_opts(
-    g: &Graph,
-    algorithm: Algorithm,
-    opts: &crate::SolveOptions,
-) -> Result<Solution, crate::SolveError> {
-    algorithm
-        .solve_with_options(&g.negated(), opts)
-        .map(negate_solution)
+    let spec = SolveSpec::mean(Algorithm::HowardExact).maximize();
+    solve_spec(g, &spec, &SolveOptions::default()).ok().flatten()
 }
 
 /// Maximum cost-to-time ratio of `g` (exact, Howard), or `None` if
 /// acyclic or if a zero-transit cycle makes the ratio undefined.
 pub fn maximum_cycle_ratio(g: &Graph) -> Option<Solution> {
-    crate::ratio::howard_ratio_exact(&g.negated()).map(negate_solution)
+    let spec = SolveSpec::ratio(Algorithm::HowardExact).maximize();
+    solve_spec(g, &spec, &SolveOptions::default()).ok().flatten()
 }
 
 #[cfg(test)]
@@ -118,10 +98,10 @@ mod tests {
             Algorithm::Karp,
             Algorithm::LawlerExact,
         ] {
-            let sol = maximum_cycle_mean_with(&g, alg).expect("cyclic");
+            let sol = solve_spec(&g, &SolveSpec::mean(alg).maximize(), &SolveOptions::default())
+                .expect("solves")
+                .expect("cyclic");
             assert_eq!(sol.lambda, expected, "{}", alg.name());
         }
     }
-
-    use mcr_graph::Graph;
 }

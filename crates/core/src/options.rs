@@ -9,6 +9,8 @@ use crate::budget::{Budget, Deadline};
 use crate::cancel::CancelToken;
 use crate::checkpoint::CheckpointStore;
 use crate::driver::SccPlan;
+use crate::error::SolveError;
+use mcr_graph::Graph;
 use std::time::Instant;
 
 /// The ordered list of alternate algorithms the driver tries when the
@@ -259,6 +261,17 @@ impl SolveOptions {
         }
     }
 
+    /// The precision the approximate algorithms run with on `g`:
+    /// [`SolveOptions::epsilon`], or [`Algorithm::default_epsilon`] of
+    /// `g` when it is unset. A set precision that is not positive and
+    /// finite is a [`SolveError::InvalidEpsilon`].
+    pub(crate) fn effective_epsilon(&self, g: &Graph) -> Result<f64, SolveError> {
+        match self.epsilon {
+            Some(e) if e > 0.0 && e.is_finite() => Ok(e),
+            Some(e) => Err(SolveError::InvalidEpsilon { epsilon: e }),
+            None => Ok(Algorithm::default_epsilon(g)),
+        }
+    }
 }
 
 #[cfg(test)]

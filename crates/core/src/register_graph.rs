@@ -255,7 +255,7 @@ mod tests {
             let via_registers = minimum_ratio_via_registers(&g, Algorithm::Karp2)
                 .expect("cyclic")
                 .lambda;
-            let howard = crate::ratio::howard_ratio_exact(&g).expect("cyclic").lambda;
+            let howard = crate::minimum_cycle_ratio(&g).expect("cyclic").lambda;
             assert_eq!(via_registers, howard, "seed {seed}");
         }
     }

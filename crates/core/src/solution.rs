@@ -8,7 +8,6 @@ use mcr_graph::{ArcId, Graph, NodeId};
 
 /// What a solver promises about the [`Solution::lambda`] it returned.
 #[derive(Clone, Copy, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Guarantee {
     /// `lambda` is exactly the optimum cycle mean/ratio.
     Exact,
@@ -31,7 +30,6 @@ impl Guarantee {
 /// witness `cycle`; for approximate algorithms the optimum may be up to
 /// the guarantee's epsilon below it.
 #[derive(Clone, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Solution {
     /// The optimum (or near-optimum) cycle mean or cost-to-time ratio.
     pub lambda: Ratio64,
@@ -127,8 +125,6 @@ pub fn check_cycle(g: &Graph, cycle: &[ArcId]) -> Result<(i64, usize, i64), Stri
     if cycle.is_empty() {
         return Err("empty cycle".into());
     }
-    let mut weight = 0i64;
-    let mut transit = 0i64;
     for (i, &a) in cycle.iter().enumerate() {
         let next = cycle[(i + 1) % cycle.len()];
         if g.target(a) != g.source(next) {
@@ -138,13 +134,12 @@ pub fn check_cycle(g: &Graph, cycle: &[ArcId]) -> Result<(i64, usize, i64), Stri
                 g.source(next)
             ));
         }
-        weight = weight
-            .checked_add(g.weight(a))
-            .ok_or_else(|| format!("cycle weight overflows i64 at arc {a:?}"))?;
-        transit = transit
-            .checked_add(g.transit(a))
-            .ok_or_else(|| format!("cycle transit overflows i64 at arc {a:?}"))?;
     }
+    // Sum in i128 so only the totals must fit i64, whatever arc the
+    // cycle starts at: a partial sum may leave the range and come back.
+    let (weight, transit) = cycle_totals(g, cycle);
+    let weight = i64::try_from(weight).map_err(|_| "cycle weight overflows i64".to_string())?;
+    let transit = i64::try_from(transit).map_err(|_| "cycle transit overflows i64".to_string())?;
     Ok((weight, cycle.len(), transit))
 }
 

@@ -3,11 +3,12 @@
 //! The CLI's `mcr solve` and the `mcrd` daemon accept the same logical
 //! request — algorithm, objective (mean or ratio), minimize/maximize,
 //! precision — and must produce **bit-identical** answers for it. That
-//! only holds if they share one dispatch: the objective-specific entry
-//! points differ per algorithm (the ratio problem has native solvers
-//! for some algorithms and an expansion reduction for the rest), and
-//! duplicating that match would let the two front ends drift. This
-//! module owns it.
+//! only holds if they share one dispatch, and this module owns it.
+//! Every (objective, algorithm) pair with a per-component kernel
+//! ([`Algorithm::has_scc_kernel`]) runs through the one per-SCC driver
+//! and fallback chain under the caller's [`SolveOptions`]; the ratio
+//! problem solves the rest on the transit-expanded graph
+//! ([`ratio::ratio_via_expansion`]), under the same options.
 
 // Request dispatch must stay panic-free whatever the request says;
 // CI runs clippy with -D warnings, so these lints are a gate.
@@ -164,35 +165,17 @@ pub fn solve_spec(
     } else {
         g
     };
-    // Validate the precision up front: the Option-returning ratio
-    // entries would otherwise fold a bad epsilon into "acyclic".
-    let epsilon = match opts.epsilon {
-        Some(e) if e > 0.0 && e.is_finite() => e,
-        Some(e) => return Err(SolveError::InvalidEpsilon { epsilon: e }.into()),
-        None => Algorithm::default_epsilon(target),
-    };
-    let sol: Option<Solution> = match spec.objective {
-        Objective::Mean => flatten_acyclic(spec.algorithm.solve_with_options(target, opts))?,
-        Objective::Ratio => {
-            if ratio::has_zero_transit_cycle(target) {
-                return Err(SolveError::ZeroTransitCycle.into());
-            }
-            match spec.algorithm {
-                Algorithm::Howard => ratio::howard_ratio(target, epsilon),
-                Algorithm::HowardExact => {
-                    flatten_acyclic(ratio::howard_ratio_exact_opts(target, opts))?
-                }
-                Algorithm::Burns | Algorithm::BurnsExact => ratio::burns_ratio(target),
-                Algorithm::Ko => ratio::parametric_ratio(target, false),
-                Algorithm::Yto => ratio::parametric_ratio(target, true),
-                Algorithm::Lawler => ratio::lawler_ratio(target, epsilon),
-                Algorithm::LawlerExact => {
-                    flatten_acyclic(ratio::lawler_ratio_exact_opts(target, opts))?
-                }
-                Algorithm::Megiddo => ratio::megiddo_ratio(target),
-                other => ratio::ratio_via_expansion(target, other).map_err(SpecError::Input)?,
-            }
+    // Validate the precision first, so a bad epsilon is reported the
+    // same way on every route, ahead of the ratio checks.
+    opts.effective_epsilon(target)?;
+    let sol = match spec.objective {
+        Objective::Ratio if ratio::has_zero_transit_cycle(target) => {
+            return Err(SolveError::ZeroTransitCycle.into())
         }
+        objective if !spec.algorithm.has_scc_kernel(objective) => {
+            ratio::ratio_via_expansion(target, spec.algorithm, opts)?
+        }
+        objective => flatten_acyclic(spec.algorithm.solve_objective(objective, target, opts))?,
     };
     Ok(sol.map(|mut sol| {
         if spec.maximize {
@@ -204,7 +187,7 @@ pub fn solve_spec(
 
 /// Folds the non-error "no cycle" outcome back into `None`, leaving
 /// real failures typed.
-fn flatten_acyclic(r: Result<Solution, SolveError>) -> Result<Option<Solution>, SpecError> {
+pub(crate) fn flatten_acyclic(r: Result<Solution, SolveError>) -> Result<Option<Solution>, SpecError> {
     match r {
         Ok(sol) => Ok(Some(sol)),
         Err(SolveError::Acyclic) => Ok(None),

@@ -7,13 +7,18 @@
 //! exercise the guarantee end-to-end through every public algorithm on
 //! multi-SCC inputs, where the work queue actually fans out.
 
-use mcr_core::{Algorithm, Ratio64, Solution, SolveOptions};
+use mcr_core::spec::solve_spec;
+use mcr_core::{Algorithm, Ratio64, Solution, SolveOptions, SolveSpec};
 use mcr_gen::sprand::{sprand, SprandConfig};
 use mcr_graph::graph::from_arc_list;
 use mcr_graph::io::read_dimacs;
 use mcr_graph::{Graph, GraphBuilder};
 
 const THREAD_COUNTS: [usize; 2] = [2, 8];
+
+fn spec_solve(g: &Graph, spec: &SolveSpec, opts: &SolveOptions) -> Solution {
+    solve_spec(g, spec, opts).expect("solves").expect("cyclic")
+}
 
 fn assert_same_solution(seq: &Solution, par: &Solution, label: &str) {
     assert_eq!(par.lambda, seq.lambda, "{label}: lambda");
@@ -75,14 +80,13 @@ fn every_benchmark_instance() {
         if g.arc_ids().all(|a| g.transit(a) == 1) {
             assert_thread_count_invariant(&g, &name);
         } else {
-            let seq_h = mcr_core::ratio::howard_ratio_exact(&g).expect("cyclic");
-            let seq_l = mcr_core::ratio::lawler_ratio_exact(&g).expect("cyclic");
-            for threads in THREAD_COUNTS {
-                let opts = SolveOptions::new().threads(threads);
-                let par_h = mcr_core::ratio::howard_ratio_exact_opts(&g, &opts).expect("cyclic");
-                assert_same_solution(&seq_h, &par_h, &format!("{name}/howard-ratio"));
-                let par_l = mcr_core::ratio::lawler_ratio_exact_opts(&g, &opts).expect("cyclic");
-                assert_same_solution(&seq_l, &par_l, &format!("{name}/lawler-ratio"));
+            for alg in [Algorithm::HowardExact, Algorithm::LawlerExact] {
+                let spec = SolveSpec::ratio(alg);
+                let seq = spec_solve(&g, &spec, &SolveOptions::new());
+                for threads in THREAD_COUNTS {
+                    let par = spec_solve(&g, &spec, &SolveOptions::new().threads(threads));
+                    assert_same_solution(&seq, &par, &format!("{name}/{} ratio", alg.name()));
+                }
             }
         }
         checked += 1;
@@ -155,9 +159,7 @@ fn maximum_and_opts_entry_points_are_thread_invariant() {
         let opts = SolveOptions::new().threads(threads);
         let par_min = mcr_core::minimum_cycle_mean_opts(&g, &opts).expect("cyclic");
         assert_same_solution(&seq_min, &par_min, "minimum_cycle_mean_opts");
-        let par_max =
-            mcr_core::maximum::maximum_cycle_mean_opts(&g, Algorithm::HowardExact, &opts)
-                .expect("cyclic");
-        assert_same_solution(&seq_max, &par_max, "maximum_cycle_mean_opts");
+        let par_max = spec_solve(&g, &SolveSpec::mean(Algorithm::HowardExact).maximize(), &opts);
+        assert_same_solution(&seq_max, &par_max, "maximized mean spec");
     }
 }

@@ -39,8 +39,6 @@ pub mod chaos;
 pub mod compact;
 pub mod graph;
 pub mod heap;
-#[cfg(feature = "serde")]
-mod serde_impls;
 pub mod io;
 pub mod scc;
 pub mod traverse;

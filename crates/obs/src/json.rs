@@ -1,8 +1,7 @@
 //! Minimal JSON construction helpers.
 //!
-//! The offline build environment has no real `serde_json` (the vendored
-//! crate is an honest stub), and the observability schemas are flat
-//! records, so a ~60-line object builder keeps this crate
+//! The offline build has no JSON crate, and the observability schemas
+//! are flat records, so a ~60-line object builder keeps this crate
 //! dependency-free — the same choice `mcr-lint` made for its `--json`
 //! report.
 

@@ -1,8 +1,8 @@
 //! Minimal JSON reader/writer for the wire protocol.
 //!
-//! The workspace is offline and `vendor/serde_json` is an honest stub
-//! (it always errors), so the service speaks JSON through this ~400
-//! line module instead: a recursive-descent parser into [`Value`] and
+//! The workspace builds offline with no JSON crate, so the service
+//! speaks JSON through this ~400 line module: a recursive-descent
+//! parser into [`Value`] and
 //! an escaping writer. It covers exactly what `mcr-req v1` /
 //! `mcr-resp v1` need — objects, arrays, strings with `\uXXXX`
 //! escapes, integers/floats, booleans, null — and rejects everything

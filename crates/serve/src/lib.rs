@@ -5,8 +5,7 @@
 //! or a dead process.** The pieces, each its own module:
 //!
 //! * [`frame`] — length-prefixed framing with a hard payload cap;
-//! * [`json`] — a dependency-free JSON parser/writer (the vendored
-//!   `serde_json` stand-in is deliberately nonfunctional);
+//! * [`json`] — a dependency-free JSON parser/writer;
 //! * [`protocol`] — `mcr-req v1` / `mcr-resp v1`, statuses mapped
 //!   one-to-one onto the CLI's [`mcr_core::SolveStatus`] exit taxonomy;
 //! * [`guard`] — the per-request [`guard::RequestGuard`] every handler

@@ -9,8 +9,9 @@
 //!
 //! Run with: `cargo run --example iteration_bound`
 
-use mcr::core::ratio::{burns_ratio, lawler_ratio_exact, parametric_ratio};
-use mcr::{maximum_cycle_ratio, Graph, GraphBuilder};
+use mcr::core::spec::solve_spec;
+use mcr::core::{Algorithm, SolveSpec};
+use mcr::{maximum_cycle_ratio, Graph, GraphBuilder, SolveOptions};
 
 /// Second-order IIR section: y(n) = x(n) + a·y(n−1) + b·y(n−2).
 ///
@@ -60,15 +61,15 @@ fn analyze(g: &Graph, name: &str) {
         sol.cycle.iter().map(|&a| g.transit(a)).sum::<i64>()
     );
 
-    // Cross-check: three structurally different exact MCR algorithms on
-    // the negated graph must agree.
-    let neg = g.negated();
-    for (label, got) in [
-        ("Burns", burns_ratio(&neg).map(|s| -s.lambda)),
-        ("YTO", parametric_ratio(&neg, true).map(|s| -s.lambda)),
-        ("Lawler-exact", lawler_ratio_exact(&neg).map(|s| -s.lambda)),
-    ] {
-        let got = got.expect("cyclic");
+    // Cross-check: three structurally different exact MCR algorithms
+    // must agree.
+    for alg in [Algorithm::Burns, Algorithm::Yto, Algorithm::LawlerExact] {
+        let spec = SolveSpec::ratio(alg).maximize();
+        let got = solve_spec(g, &spec, &SolveOptions::default())
+            .expect("positive-delay loops")
+            .expect("cyclic")
+            .lambda;
+        let label = alg.name();
         assert_eq!(got, sol.lambda, "{label} disagrees");
         println!("  cross-check {label:<13} T∞ = {got}");
     }

@@ -88,6 +88,16 @@ if [ "$status" -ne 4 ]; then
     echo "FAIL: expired --timeout exited $status, expected 4"
     exit 1
 fi
+# The ratio routes honour the same deadline, native and expanded.
+for alg in howard burns ko yto lawler megiddo karp; do
+    status=0
+    "$MCR" solve /tmp/mcr_ci_timeout.dimacs --ratio --algorithm "$alg" \
+        --timeout 0ms >/dev/null 2>&1 || status=$?
+    if [ "$status" -ne 4 ]; then
+        echo "FAIL: --ratio --algorithm $alg with an expired --timeout exited $status, expected 4"
+        exit 1
+    fi
+done
 rm -f /tmp/mcr_ci_timeout.dimacs
 # A starved budget with no fallback must exit 2 (budget exhausted)...
 printf 'p mcr 2 2\na 1 2 1\na 2 1 4001\n' > /tmp/mcr_ci_hostile.dimacs

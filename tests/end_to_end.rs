@@ -103,12 +103,13 @@ fn guarantees_reported_correctly() {
 fn expansion_reduction_consistency_at_scale() {
     let g0 = sprand(&SprandConfig::new(60, 150).seed(21).weight_range(1, 500));
     let g = with_random_transits(&g0, 1, 4, 3);
-    let native = ratio::howard_ratio_exact(&g).expect("cyclic").lambda;
-    let via_karp = ratio::ratio_via_expansion(&g, Algorithm::Karp)
+    let native = mcr::minimum_cycle_ratio(&g).expect("cyclic").lambda;
+    let opts = mcr::SolveOptions::default();
+    let via_karp = ratio::ratio_via_expansion(&g, Algorithm::Karp, &opts)
         .expect("positive transits")
         .expect("cyclic")
         .lambda;
-    let via_yto = ratio::ratio_via_expansion(&g, Algorithm::Yto)
+    let via_yto = ratio::ratio_via_expansion(&g, Algorithm::Yto, &opts)
         .expect("positive transits")
         .expect("cyclic")
         .lambda;
