@@ -264,11 +264,13 @@ mod tests {
             let g = sprand(&SprandConfig::new(60, 180).seed(seed));
             let (lam, c) = solve(&g);
             let mut cl = Counters::new();
-            let lawler = super::super::lawler::solve_scc_exact(
+            let lawler = super::super::lawler::solve_scc_exact_ckpt(
                 &g,
                 &mut cl,
                 &mut crate::workspace::Workspace::new(),
                 &mut BudgetScope::unlimited(crate::Algorithm::LawlerExact),
+                None,
+                &mut None,
             )
             .expect("unlimited");
             assert_eq!(lam, lawler.lambda, "seed {seed}");
